@@ -118,15 +118,17 @@ void escape_string(std::string& out, const std::string& s) {
 }
 
 void append_double(std::string& out, double d) {
-  if (std::isnan(d)) {
-    out += "null";  // JSON has no NaN; represent as null
+  if (!std::isfinite(d)) {
+    out += "null";  // JSON has no NaN or infinity
     return;
   }
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.10g", d);
-  out += buf;
+  // Shortest text that parses back to the same bits; 32 bytes hold any.
+  char buf[32];
+  const char* end = std::to_chars(buf, buf + sizeof buf, d).ptr;
+  const std::string_view text(buf, static_cast<std::size_t>(end - buf));
+  out += text;
   // Ensure a double stays a double on re-parse.
-  if (out.find_first_of(".eEn", out.size() - std::strlen(buf)) == std::string::npos) out += ".0";
+  if (text.find_first_of(".e") == std::string_view::npos) out += ".0";
 }
 
 }  // namespace
@@ -459,6 +461,54 @@ std::string read_file(const std::string& path) {
   std::ostringstream ss;
   ss << in.rdbuf();
   return ss.str();
+}
+
+Json record_header(const RecordHeader& header) {
+  Json doc = Json::object();
+  doc.set("kind", header.kind);
+  doc.set("version", header.version);
+  doc.set("options_fingerprint", static_cast<std::int64_t>(header.options_fingerprint));
+  return doc;
+}
+
+void check_record_header(const Json& doc, const RecordHeader& expected,
+                         std::string_view source) {
+  const std::string where = std::string(source) + ": ";
+  const auto field = [&](const char* key, Json::Type type) -> const Json& {
+    if (!doc.contains(key) || doc.at(key).type() != type) {
+      throw IoError(where + "not a " + expected.kind + " record (no " + key + ")");
+    }
+    return doc.at(key);
+  };
+  if (field("kind", Json::Type::String).as_string() != expected.kind) {
+    throw IoError(where + "not a " + expected.kind + " record (kind '" +
+                  doc.at("kind").as_string() + "')");
+  }
+  const std::int64_t version = field("version", Json::Type::Int).as_int();
+  if (version != expected.version) {
+    throw IoError(where + expected.kind + " version " + std::to_string(version) +
+                  ", this build reads version " + std::to_string(expected.version));
+  }
+  const auto fingerprint =
+      static_cast<std::uint64_t>(field("options_fingerprint", Json::Type::Int).as_int());
+  if (fingerprint != expected.options_fingerprint) {
+    throw IoError(where +
+                  "written with different options (fingerprint mismatch); "
+                  "refusing to resume, delete it to start over");
+  }
+}
+
+std::optional<Json> read_record(const std::string& path, const RecordHeader& expected) {
+  if (!std::filesystem::exists(path)) return std::nullopt;
+  const std::string text = read_file(path);
+  Json doc;
+  try {
+    doc = Json::parse(text);
+  } catch (const ParseError& ex) {
+    throw IoError(path + " is corrupt: " + ex.what());
+  }
+  check_record_header(doc, expected, path);
+  return doc;
 }
 
 }  // namespace qdb

@@ -4,11 +4,16 @@
 // files (paper §4.2).  This is a small, dependency-free implementation that
 // covers the subset of JSON the dataset uses: objects with ordered keys,
 // arrays, strings, doubles, integers, booleans and null.
+//
+// Doubles are written as the shortest decimal that parses back to the same
+// bits, so dump -> parse is exact and no record needs a bit-pattern copy of
+// its doubles.  Non-finite doubles are written as null.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -99,5 +104,35 @@ void write_file_atomic(const std::string& path, const std::string& contents);
 
 /// Read a whole file; throws qdb::IoError if unreadable.
 std::string read_file(const std::string& path);
+
+// --- durable records --------------------------------------------------------
+//
+// The batch checkpoint, the screen checkpoint and the coordinator journal are
+// resume records: a killed run reloads one and must end with the same bytes
+// as a run that was never killed.  Each starts with the same header, written
+// by record_header and checked by check_record_header; saving is a plain
+// write_file_atomic of the dumped document.
+
+/// What a record is, which layout wrote it, and a fingerprint of the options
+/// that shaped its contents.  A reader refuses any record whose header
+/// differs from the one it would write itself.
+struct RecordHeader {
+  std::string kind;
+  int version = 0;
+  std::uint64_t options_fingerprint = 0;
+};
+
+/// A new object holding the header fields; the caller appends its payload.
+Json record_header(const RecordHeader& header);
+
+/// Throws qdb::IoError unless `doc` is an object carrying exactly `expected`'s
+/// kind, version and fingerprint.  `source` names the document in messages.
+void check_record_header(const Json& doc, const RecordHeader& expected,
+                         std::string_view source);
+
+/// Read the record at `path` and check its header.  Returns std::nullopt when
+/// the file does not exist; throws qdb::IoError when it is unreadable, is not
+/// JSON, or has a header other than `expected`.
+std::optional<Json> read_record(const std::string& path, const RecordHeader& expected);
 
 }  // namespace qdb

@@ -1,8 +1,6 @@
 #include "data/checkpoint.h"
 
 #include <cstdio>
-#include <cstring>
-#include <filesystem>
 
 #include "common/check.h"
 #include "common/error.h"
@@ -13,33 +11,11 @@ namespace qdb {
 
 namespace {
 
-constexpr int kCheckpointVersion = 1;
+// Version 1 files held %.10g-rounded doubles; they are refused, never resumed.
+constexpr int kCheckpointVersion = 2;
 
-// --- exact double round-trip ------------------------------------------------
-
-std::int64_t double_bits(double v) {
-  std::int64_t bits;
-  static_assert(sizeof bits == sizeof v);
-  std::memcpy(&bits, &v, sizeof bits);
-  return bits;
-}
-
-double double_from_bits(std::int64_t bits) {
-  double v;
-  std::memcpy(&v, &bits, sizeof v);
-  return v;
-}
-
-/// Store `v` readably and exactly (see checkpoint.h).
-void set_exact(Json& obj, const std::string& key, double v) {
-  obj.set(key, v);
-  obj.set(key + "_bits", double_bits(v));
-}
-
-double get_exact(const Json& obj, const std::string& key) {
-  const std::string bits_key = key + "_bits";
-  if (obj.contains(bits_key)) return double_from_bits(obj.at(bits_key).as_int());
-  return obj.at(key).as_double();
+RecordHeader checkpoint_header(std::uint64_t fingerprint) {
+  return {"qdockbank-batch-checkpoint", kCheckpointVersion, fingerprint};
 }
 
 Group group_from_name(std::string_view name) {
@@ -110,11 +86,11 @@ Json batch_job_record_json(const BatchJobRecord& j) {
   job.set("qubits", j.qubits);
   job.set("evaluations", j.evaluations);
   job.set("shots", static_cast<std::int64_t>(j.shots));
-  set_exact(job, "device_time_s", j.device_time_s);
-  set_exact(job, "lowest_energy", j.lowest_energy);
+  job.set("device_time_s", j.device_time_s);
+  job.set("lowest_energy", j.lowest_energy);
   job.set("status", job_status_name(j.status));
   job.set("attempts", j.attempts);
-  set_exact(job, "retry_wait_s", j.retry_wait_s);
+  job.set("retry_wait_s", j.retry_wait_s);
   job.set("engine_used", j.engine_used);
   job.set("degradation", j.degradation);
   Json log = Json::array();
@@ -130,11 +106,11 @@ BatchJobRecord batch_job_record_from_json(const Json& job) {
   j.qubits = static_cast<int>(job.at("qubits").as_int());
   j.evaluations = static_cast<int>(job.at("evaluations").as_int());
   j.shots = static_cast<std::size_t>(job.at("shots").as_int());
-  j.device_time_s = get_exact(job, "device_time_s");
-  j.lowest_energy = get_exact(job, "lowest_energy");
+  j.device_time_s = job.at("device_time_s").as_double();
+  j.lowest_energy = job.at("lowest_energy").as_double();
   j.status = job_status_from_name(job.at("status").as_string());
   j.attempts = static_cast<int>(job.at("attempts").as_int());
-  j.retry_wait_s = get_exact(job, "retry_wait_s");
+  j.retry_wait_s = job.at("retry_wait_s").as_double();
   j.engine_used = job.at("engine_used").as_string();
   j.degradation = job.at("degradation").as_string();
   for (const Json& line : job.at("failure_log").as_array()) {
@@ -144,10 +120,7 @@ BatchJobRecord batch_job_record_from_json(const Json& job) {
 }
 
 Json batch_checkpoint_json(const BatchReport& report, std::uint64_t fingerprint) {
-  Json doc = Json::object();
-  doc.set("format", "qdockbank-batch-checkpoint");
-  doc.set("version", kCheckpointVersion);
-  doc.set("options_fingerprint", static_cast<std::int64_t>(fingerprint));
+  Json doc = record_header(checkpoint_header(fingerprint));
   doc.set("completed_jobs", static_cast<std::int64_t>(report.jobs.size()));
 
   Json jobs = Json::array();
@@ -166,22 +139,7 @@ Json batch_checkpoint_json(const BatchReport& report, std::uint64_t fingerprint)
 }
 
 BatchReport batch_checkpoint_from_json(const Json& doc, std::uint64_t fingerprint) {
-  if (!doc.is_object() || !doc.contains("format") ||
-      doc.at("format").as_string() != "qdockbank-batch-checkpoint") {
-    throw IoError("checkpoint: not a qdockbank batch checkpoint document");
-  }
-  if (doc.at("version").as_int() != kCheckpointVersion) {
-    throw IoError("checkpoint: unsupported version " +
-                  std::to_string(doc.at("version").as_int()));
-  }
-  const auto stored =
-      static_cast<std::uint64_t>(doc.at("options_fingerprint").as_int());
-  if (stored != fingerprint) {
-    throw Error(
-        "checkpoint was written with different batch options (fingerprint "
-        "mismatch); refusing to resume — delete the checkpoint to start over");
-  }
-
+  check_record_header(doc, checkpoint_header(fingerprint), "batch checkpoint");
   BatchReport report;
   for (const Json& job : doc.at("jobs").as_array()) {
     report.jobs.push_back(batch_job_record_from_json(job));
@@ -197,9 +155,9 @@ void save_batch_checkpoint(const std::string& path, const BatchReport& report,
   // Checkpoint round-trip audit (ISSUE 3): bit-exact resume (PR 2's golden
   // replay) requires that parsing what we are about to write and
   // re-serialising it reproduces the per-job records byte for byte — this
-  // exercises the _bits exact-double channel end to end before the file hits
-  // disk.  The comparison covers the "jobs" array only: the summary block is
-  // documented as recomputed on load, never parsed back.
+  // exercises the shortest round-trip double encoding end to end before the
+  // file hits disk.  The comparison covers the "jobs" array only: the summary
+  // block is documented as recomputed on load, never parsed back.
   if constexpr (check::audit_enabled()) {
     const BatchReport reread =
         batch_checkpoint_from_json(Json::parse(dump), fingerprint);
@@ -216,14 +174,9 @@ void save_batch_checkpoint(const std::string& path, const BatchReport& report,
 
 bool load_batch_checkpoint(const std::string& path, std::uint64_t fingerprint,
                            BatchReport* out) {
-  if (!std::filesystem::exists(path)) return false;
-  Json doc;
-  try {
-    doc = Json::parse(read_file(path));
-  } catch (const ParseError& ex) {
-    throw IoError("checkpoint " + path + " is corrupt: " + ex.what());
-  }
-  *out = batch_checkpoint_from_json(doc, fingerprint);
+  const std::optional<Json> doc = read_record(path, checkpoint_header(fingerprint));
+  if (!doc) return false;
+  *out = batch_checkpoint_from_json(*doc, fingerprint);
   return true;
 }
 

@@ -1,7 +1,6 @@
 #include "orchestrate/coordinator.h"
 
 #include <algorithm>
-#include <filesystem>
 
 #include "common/check.h"
 #include "common/error.h"
@@ -14,8 +13,12 @@ namespace qdb::orchestrate {
 
 namespace {
 
-constexpr int kJournalVersion = 1;
-constexpr const char* kJournalFormat = "qdockbank-orchestrator-journal";
+// Version 1 files held %.10g-rounded doubles; they are refused, never resumed.
+constexpr int kJournalVersion = 2;
+
+RecordHeader journal_header(std::uint64_t fingerprint) {
+  return {"qdockbank-orchestrator-journal", kJournalVersion, fingerprint};
+}
 
 Json counters_json(const CoordinatorCounters& c) {
   Json j = Json::object();
@@ -76,10 +79,7 @@ JobState job_state_from_name(std::string_view name) {
 
 Json coordinator_journal_json(const JournalSnapshot& state,
                               std::uint64_t fingerprint) {
-  Json doc = Json::object();
-  doc.set("format", kJournalFormat);
-  doc.set("version", kJournalVersion);
-  doc.set("options_fingerprint", static_cast<std::int64_t>(fingerprint));
+  Json doc = record_header(journal_header(fingerprint));
   doc.set("next_token", static_cast<std::int64_t>(state.next_token));
   doc.set("counters", counters_json(state.counters));
   Json jobs = Json::array();
@@ -104,22 +104,7 @@ Json coordinator_journal_json(const JournalSnapshot& state,
 
 JournalSnapshot coordinator_journal_from_json(const Json& doc,
                                               std::uint64_t fingerprint) {
-  if (!doc.is_object() || !doc.contains("format") ||
-      doc.at("format").as_string() != kJournalFormat) {
-    throw IoError("journal: not a qdockbank orchestrator journal document");
-  }
-  if (doc.at("version").as_int() != kJournalVersion) {
-    throw IoError("journal: unsupported version " +
-                  std::to_string(doc.at("version").as_int()));
-  }
-  const auto stored =
-      static_cast<std::uint64_t>(doc.at("options_fingerprint").as_int());
-  if (stored != fingerprint) {
-    throw Error(
-        "orchestrator journal was written with different batch options "
-        "(fingerprint mismatch); refusing to resume — delete the journal to "
-        "start over");
-  }
+  check_record_header(doc, journal_header(fingerprint), "orchestrator journal");
   JournalSnapshot state;
   state.next_token = static_cast<std::uint64_t>(doc.at("next_token").as_int());
   state.counters = counters_from_json(doc.at("counters"));
@@ -175,16 +160,12 @@ Coordinator::Coordinator(std::vector<const DatasetEntry*> entries,
     jobs_.push_back(std::move(s));
   }
 
-  if (!options_.journal_path.empty() &&
-      std::filesystem::exists(options_.journal_path)) {
-    Json doc;
-    try {
-      doc = Json::parse(read_file(options_.journal_path));
-    } catch (const ParseError& ex) {
-      throw IoError("orchestrator journal " + options_.journal_path +
-                    " is corrupt: " + std::string(ex.what()));
-    }
-    load_journal(doc);
+  const std::optional<Json> journal =
+      options_.journal_path.empty()
+          ? std::nullopt
+          : read_record(options_.journal_path, journal_header(fingerprint_));
+  if (journal) {
+    load_journal(*journal);
   } else {
     for (std::size_t i = 0; i < jobs_.size(); ++i) queue_.push_back(i);
   }

@@ -27,8 +27,9 @@
 //    Stale-token completions are likewise accepted (the work is correct even
 //    if the lease lapsed); only already-done jobs count as duplicates.
 //
-//  * State is journaled through the checkpoint machinery (exact-double JSON,
-//    write_file_atomic) after every state transition, so a killed
+//  * State is journaled after every state transition as a durable record
+//    (common/json.h: kind, version and options-fingerprint header, doubles
+//    written exactly, saved by write_file_atomic), so a killed
 //    coordinator resumes without losing or double-counting jobs: done jobs
 //    keep their records, leased jobs re-queue with their attempt counts
 //    preserved, failed jobs re-queue fresh (the outage may have cleared —
@@ -137,9 +138,10 @@ struct CoordinatorCounters {
 
 class Coordinator {
  public:
-  /// Loads the journal at options.journal_path if it exists (fingerprint
-  /// must match or this throws qdb::Error), otherwise starts all entries
-  /// Pending in the given (stable) order.
+  /// Loads the journal at options.journal_path if it exists, otherwise
+  /// starts all entries Pending in the given (stable) order.  A corrupt
+  /// journal, or one of another version or fingerprint, throws qdb::IoError;
+  /// one covering a different job set throws qdb::Error.
   Coordinator(std::vector<const DatasetEntry*> entries, CoordinatorOptions options);
 
   Coordinator(const Coordinator&) = delete;
@@ -208,12 +210,12 @@ struct JournalSnapshot {
   std::uint64_t next_token = 1;
 };
 
-/// Serialise coordinator state; exact doubles via batch_job_record_json.
+/// Serialise coordinator state; job records via batch_job_record_json.
 Json coordinator_journal_json(const JournalSnapshot& state,
                               std::uint64_t fingerprint);
 
-/// Parse a journal document; throws qdb::IoError on malformed input and
-/// qdb::Error when the embedded fingerprint differs from `fingerprint`.
+/// Parse a journal document; throws qdb::IoError when its header is not a
+/// current journal with `fingerprint`, and qdb::Error on a malformed payload.
 JournalSnapshot coordinator_journal_from_json(const Json& doc,
                                               std::uint64_t fingerprint);
 

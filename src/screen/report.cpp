@@ -1,8 +1,5 @@
 #include "screen/report.h"
 
-#include <cstring>
-#include <filesystem>
-
 #include "common/check.h"
 #include "common/error.h"
 
@@ -10,46 +7,25 @@ namespace qdb::screen {
 
 namespace {
 
-constexpr int kCheckpointVersion = 1;
-constexpr int kReportVersion = 1;
+// Version 1 files held %.10g-rounded doubles; checkpoints of that version
+// are refused, never resumed.
+constexpr int kCheckpointVersion = 2;
+constexpr int kReportVersion = 2;
 
-// Exact-double channels, the data/checkpoint convention: the readable value
-// is for humans and diffs, the "<key>_bits" integer is what load uses.
-
-std::int64_t double_bits(double v) {
-  std::int64_t bits;
-  static_assert(sizeof bits == sizeof v);
-  std::memcpy(&bits, &v, sizeof bits);
-  return bits;
-}
-
-double double_from_bits(std::int64_t bits) {
-  double v;
-  std::memcpy(&v, &bits, sizeof v);
-  return v;
-}
-
-void set_exact(Json& obj, const std::string& key, double v) {
-  obj.set(key, v);
-  obj.set(key + "_bits", double_bits(v));
-}
-
-double get_exact(const Json& obj, const std::string& key) {
-  const std::string bits_key = key + "_bits";
-  if (obj.contains(bits_key)) return double_from_bits(obj.at(bits_key).as_int());
-  return obj.at(key).as_double();
+RecordHeader checkpoint_header(std::uint64_t fingerprint) {
+  return {"screen-checkpoint", kCheckpointVersion, fingerprint};
 }
 
 Json stage_pose_json(const StagePose& sp) {
   Json doc = pose_json(sp.pose);
-  set_exact(doc, "score", sp.score);
+  doc.set("score", sp.score);
   return doc;
 }
 
 StagePose stage_pose_from_json(const Json& doc) {
   StagePose sp;
   sp.pose = pose_from_json(doc);
-  sp.score = get_exact(doc, "score");
+  sp.score = doc.at("score").as_double();
   return sp;
 }
 
@@ -57,7 +33,7 @@ Json stage1_json(const Stage1Result& r) {
   Json doc = Json::object();
   doc.set("index", static_cast<std::int64_t>(r.index));
   doc.set("id", r.id);
-  set_exact(doc, "best_score", r.best_score);
+  doc.set("best_score", r.best_score);
   Json poses = Json::array();
   for (const StagePose& sp : r.poses) poses.push_back(stage_pose_json(sp));
   doc.set("poses", std::move(poses));
@@ -68,7 +44,7 @@ Stage1Result stage1_from_json(const Json& doc) {
   Stage1Result r;
   r.index = static_cast<std::uint64_t>(doc.at("index").as_int());
   r.id = doc.at("id").as_string();
-  r.best_score = get_exact(doc, "best_score");
+  r.best_score = doc.at("best_score").as_double();
   for (const Json& p : doc.at("poses").as_array()) {
     r.poses.push_back(stage_pose_from_json(p));
   }
@@ -80,8 +56,8 @@ Json hit_json(const ScreenHit& h, int rank) {
   doc.set("rank", rank);
   doc.set("id", h.id);
   doc.set("index", static_cast<std::int64_t>(h.index));
-  set_exact(doc, "stage1_score", h.stage1_score);
-  set_exact(doc, "affinity", h.affinity);
+  doc.set("stage1_score", h.stage1_score);
+  doc.set("affinity", h.affinity);
   doc.set("num_atoms", h.num_atoms);
   doc.set("num_torsions", h.num_torsions);
   doc.set("pose", pose_json(h.pose));
@@ -92,8 +68,8 @@ ScreenHit hit_from_json(const Json& doc) {
   ScreenHit h;
   h.id = doc.at("id").as_string();
   h.index = static_cast<std::uint64_t>(doc.at("index").as_int());
-  h.stage1_score = get_exact(doc, "stage1_score");
-  h.affinity = get_exact(doc, "affinity");
+  h.stage1_score = doc.at("stage1_score").as_double();
+  h.affinity = doc.at("affinity").as_double();
   h.num_atoms = static_cast<int>(doc.at("num_atoms").as_int());
   h.num_torsions = static_cast<int>(doc.at("num_torsions").as_int());
   h.pose = pose_from_json(doc.at("pose"));
@@ -104,52 +80,45 @@ ScreenHit hit_from_json(const Json& doc) {
 
 Json pose_json(const Pose& pose) {
   Json doc = Json::object();
-  set_exact(doc, "tx", pose.translation.x);
-  set_exact(doc, "ty", pose.translation.y);
-  set_exact(doc, "tz", pose.translation.z);
-  set_exact(doc, "qw", pose.orientation.w);
-  set_exact(doc, "qx", pose.orientation.x);
-  set_exact(doc, "qy", pose.orientation.y);
-  set_exact(doc, "qz", pose.orientation.z);
+  doc.set("tx", pose.translation.x);
+  doc.set("ty", pose.translation.y);
+  doc.set("tz", pose.translation.z);
+  doc.set("qw", pose.orientation.w);
+  doc.set("qx", pose.orientation.x);
+  doc.set("qy", pose.orientation.y);
+  doc.set("qz", pose.orientation.z);
   Json torsions = Json::array();
-  Json torsion_bits = Json::array();
-  for (double t : pose.torsions) {
-    torsions.push_back(t);
-    torsion_bits.push_back(double_bits(t));
-  }
+  for (double t : pose.torsions) torsions.push_back(t);
   doc.set("torsions", std::move(torsions));
-  doc.set("torsions_bits", std::move(torsion_bits));
   return doc;
 }
 
 Pose pose_from_json(const Json& doc) {
   Pose pose;
-  pose.translation = Vec3{get_exact(doc, "tx"), get_exact(doc, "ty"),
-                          get_exact(doc, "tz")};
-  pose.orientation.w = get_exact(doc, "qw");
-  pose.orientation.x = get_exact(doc, "qx");
-  pose.orientation.y = get_exact(doc, "qy");
-  pose.orientation.z = get_exact(doc, "qz");
-  for (const Json& b : doc.at("torsions_bits").as_array()) {
-    pose.torsions.push_back(double_from_bits(b.as_int()));
+  pose.translation = Vec3{doc.at("tx").as_double(), doc.at("ty").as_double(),
+                          doc.at("tz").as_double()};
+  pose.orientation.w = doc.at("qw").as_double();
+  pose.orientation.x = doc.at("qx").as_double();
+  pose.orientation.y = doc.at("qy").as_double();
+  pose.orientation.z = doc.at("qz").as_double();
+  for (const Json& t : doc.at("torsions").as_array()) {
+    pose.torsions.push_back(t.as_double());
   }
   return pose;
 }
 
 std::string serialize_report(const ScreenReport& report) {
   QDB_REQUIRE(!report.preempted, "cannot serialize a preempted screen report");
-  Json doc = Json::object();
-  doc.set("version", kReportVersion);
-  doc.set("kind", "screen-report");
+  Json doc =
+      record_header({"screen-report", kReportVersion, report.options_fingerprint});
   doc.set("receptor", report.receptor_tag);
   Json lib = Json::object();
   lib.set("seed", static_cast<std::int64_t>(report.library.seed));
   lib.set("size", static_cast<std::int64_t>(report.library.size));
   doc.set("library", std::move(lib));
-  doc.set("options_fingerprint", static_cast<std::int64_t>(report.options_fingerprint));
   doc.set("ligands_screened", static_cast<std::int64_t>(report.ligands_screened));
   doc.set("stage1_survivors", static_cast<std::int64_t>(report.stage1_survivors));
-  set_exact(doc, "keep_rate", report.keep_rate());
+  doc.set("keep_rate", report.keep_rate());
   doc.set("top_k", report.top_k);
   Json hits = Json::array();
   for (std::size_t i = 0; i < report.hits.size(); ++i) {
@@ -186,10 +155,7 @@ void save_screen_checkpoint(const std::string& path,
                             std::uint64_t chunks_done, std::uint64_t chunk_size,
                             std::uint64_t fingerprint,
                             const std::string& receptor_tag) {
-  Json doc = Json::object();
-  doc.set("version", kCheckpointVersion);
-  doc.set("kind", "screen-checkpoint");
-  doc.set("options_fingerprint", static_cast<std::int64_t>(fingerprint));
+  Json doc = record_header(checkpoint_header(fingerprint));
   doc.set("receptor", receptor_tag);
   doc.set("chunk_size", static_cast<std::int64_t>(chunk_size));
   doc.set("chunks_done", static_cast<std::int64_t>(chunks_done));
@@ -205,18 +171,9 @@ bool load_screen_checkpoint(const std::string& path, std::uint64_t fingerprint,
                             std::vector<Stage1Result>* results,
                             std::uint64_t* chunks_done) {
   QDB_REQUIRE(results != nullptr && chunks_done != nullptr, "null output");
-  if (!std::filesystem::exists(path)) return false;
-  const Json doc = Json::parse(read_file(path));
-  if (!doc.contains("kind") || doc.at("kind").as_string() != "screen-checkpoint") {
-    throw IoError("screen checkpoint '" + path + "': wrong kind");
-  }
-  const auto stored =
-      static_cast<std::uint64_t>(doc.at("options_fingerprint").as_int());
-  if (stored != fingerprint) {
-    throw IoError("screen checkpoint '" + path +
-                  "' was written with different screen options (fingerprint "
-                  "mismatch) — delete it or rerun with the original flags");
-  }
+  const std::optional<Json> record = read_record(path, checkpoint_header(fingerprint));
+  if (!record) return false;
+  const Json& doc = *record;
   if (doc.at("receptor").as_string() != receptor_tag) {
     throw IoError("screen checkpoint '" + path + "' belongs to receptor '" +
                   doc.at("receptor").as_string() + "', not '" + receptor_tag + "'");

@@ -3,17 +3,18 @@
 //
 // Two artifacts come out of a screen:
 //   - the CHECKPOINT: per-ligand stage-1 results written after every chunk
-//     (write_file_atomic), replayable after a kill.  Doubles carry an exact
-//     IEEE-754 "<key>_bits" channel next to the readable value — the batch
-//     checkpoint convention (data/checkpoint) — so a resumed run converges
-//     to the same bytes as an uninterrupted one.
+//     (write_file_atomic), replayable after a kill.  Json writes every
+//     double as the shortest decimal that parses back to the same bits, so
+//     a resumed run converges to the same bytes as an uninterrupted one.
 //   - the RANKED-HIT FILE: the canonical report of the funnel, deterministic
 //     down to the byte for fixed options (thread count, resume history, and
 //     machine do not change it), so the store dedups identical screens and
 //     CI can gate on blob-hash equality.
 //
-// Both formats refuse to mix runs: they embed the options fingerprint and
-// the receptor tag and reject mismatches on load.
+// Both formats embed the options fingerprint and the receptor tag.  The
+// checkpoint is a durable record (common/json.h): a load refuses, with
+// qdb::IoError, a corrupt file, another version or fingerprint, and —
+// checks of this format alone — another receptor or chunk size.
 #pragma once
 
 #include <cstdint>
@@ -74,11 +75,11 @@ struct ScreenReport {
   }
 };
 
-/// Exact pose round-trip (translation, quaternion, torsions as bit patterns).
+/// Exact pose round-trip (translation, quaternion, torsions).
 Json pose_json(const Pose& pose);
 Pose pose_from_json(const Json& doc);
 
-/// Canonical ranked-hit file bytes (indented JSON, exact-double channels).
+/// Canonical ranked-hit file bytes (indented JSON, exact doubles).
 /// Refuses preempted reports — partial funnels have no ranked output.
 std::string serialize_report(const ScreenReport& report);
 /// Inverse of serialize_report; throws qdb::ParseError/IoError on bad input.
@@ -92,8 +93,8 @@ void save_screen_checkpoint(const std::string& path,
                             const std::string& receptor_tag);
 
 /// Load a checkpoint if `path` exists.  Returns false when absent; throws
-/// qdb::IoError when present but written by a different run (fingerprint,
-/// receptor, or chunk size mismatch) or corrupt.
+/// qdb::IoError when present but corrupt or written by a different run
+/// (version, fingerprint, receptor, or chunk size mismatch).
 bool load_screen_checkpoint(const std::string& path, std::uint64_t fingerprint,
                             const std::string& receptor_tag,
                             std::uint64_t chunk_size,

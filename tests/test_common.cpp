@@ -1,8 +1,12 @@
 // Tests for src/common: RNG determinism and statistics, JSON round-trips,
-// string helpers, and table rendering.
+// the durable-record envelope, string helpers, and table rendering.
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
+#include <cstring>
+#include <filesystem>
+#include <limits>
 #include <set>
 
 #include "common/check.h"
@@ -181,6 +185,113 @@ TEST(Json, FileRoundTrip) {
   j.set("v", 7);
   write_file(path, j.dump());
   EXPECT_EQ(Json::parse(read_file(path)).at("v").as_int(), 7);
+}
+
+TEST(Json, NonFiniteDoublesDumpAsNull) {
+  const double inf = std::numeric_limits<double>::infinity();
+  Json arr = Json::array();
+  arr.push_back(inf);
+  arr.push_back(-inf);
+  arr.push_back(std::numeric_limits<double>::quiet_NaN());
+  const std::string text = arr.dump(-1);
+  EXPECT_EQ(text, "[null,null,null]");
+  const Json back = Json::parse(text);
+  for (const Json& v : back.as_array()) EXPECT_TRUE(v.is_null());
+}
+
+// --- exact doubles ------------------------------------------------------------
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+std::vector<double> exact_round_trip_cases() {
+  std::vector<double> xs = {0.0, -0.0, 0.1 + 0.2, 1e21, DBL_MAX, -DBL_MAX,
+                            DBL_MIN, DBL_TRUE_MIN, -DBL_TRUE_MIN, 4.9e-320,
+                            1.0 / 3.0, 22590.2071234567, 100.0,
+                            -3.141592653589793};
+  std::uint64_t state = 0x51c0ffeeULL;
+  while (xs.size() < 20000) {
+    const std::uint64_t bits = splitmix64(state);
+    double x;
+    std::memcpy(&x, &bits, sizeof x);
+    if (std::isfinite(x)) xs.push_back(x);
+  }
+  return xs;
+}
+
+TEST(JsonExact, DumpParseRoundTripsEveryFiniteDoubleBitForBit) {
+  for (const double x : exact_round_trip_cases()) {
+    const std::string text = Json(x).dump();
+    const Json back = Json::parse(text);
+    ASSERT_EQ(back.type(), Json::Type::Double) << text;
+    ASSERT_TRUE(same_bits(back.as_double(), x)) << text;
+  }
+}
+
+TEST(JsonExact, CanonicalTextIsAFixedPoint) {
+  for (const double x : exact_round_trip_cases()) {
+    const std::string canonical = Json(x).dump();
+    ASSERT_EQ(Json::parse(canonical).dump(), canonical);
+  }
+  // Integral doubles keep a ".0" (or an exponent) so they stay doubles.
+  EXPECT_EQ(Json(100.0).dump(), "100.0");
+  EXPECT_EQ(Json(-0.0).dump(), "-0.0");
+  EXPECT_EQ(Json(1e21).dump(), "1e+21");
+  EXPECT_EQ(Json(0.1 + 0.2).dump(), "0.30000000000000004");
+}
+
+// --- durable-record envelope ------------------------------------------------
+
+TEST(DurableRecord, HeaderRoundTripsAndMismatchesAreIoErrors) {
+  const RecordHeader header{"test-record", 2, 0xfeedfacecafebeefULL};
+  Json doc = record_header(header);
+  doc.set("payload", 1.5);
+  const Json back = Json::parse(doc.dump());
+  EXPECT_NO_THROW(check_record_header(back, header, "doc"));
+  EXPECT_EQ(back.at("payload").as_double(), 1.5);
+
+  RecordHeader other = header;
+  other.kind = "other-record";
+  EXPECT_THROW(check_record_header(back, other, "doc"), IoError);
+  other = header;
+  other.version = 1;
+  EXPECT_THROW(check_record_header(back, other, "doc"), IoError);
+  other = header;
+  other.options_fingerprint += 1;
+  EXPECT_THROW(check_record_header(back, other, "doc"), IoError);
+
+  // Missing or mistyped header fields, and non-objects, are IoErrors too.
+  EXPECT_THROW(check_record_header(Json::parse("[1]"), header, "doc"), IoError);
+  Json numeric_kind = Json::parse(doc.dump());
+  numeric_kind.set("kind", 7);
+  EXPECT_THROW(check_record_header(numeric_kind, header, "doc"), IoError);
+  Json string_version = Json::parse(doc.dump());
+  string_version.set("version", "2");
+  EXPECT_THROW(check_record_header(string_version, header, "doc"), IoError);
+}
+
+TEST(DurableRecord, ReaderReportsAbsentAndRefusesCorruptOrMismatchedFiles) {
+  const std::string dir = testing::TempDir() + "/qdb_durable_record";
+  std::filesystem::remove_all(dir);
+  const std::string path = dir + "/record.json";
+  const RecordHeader header{"test-record", 2, 42};
+
+  EXPECT_FALSE(read_record(path, header).has_value());
+
+  Json doc = record_header(header);
+  doc.set("x", 0.1 + 0.2);
+  const std::string text = doc.dump();
+  write_file_atomic(path, text);
+  const std::optional<Json> back = read_record(path, header);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->dump(), text);
+
+  EXPECT_THROW(read_record(path, RecordHeader{"test-record", 2, 43}), IoError);
+  EXPECT_THROW(read_record(path, RecordHeader{"test-record", 3, 42}), IoError);
+  write_file(path, text.substr(0, text.size() / 2));  // truncated
+  EXPECT_THROW(read_record(path, header), IoError);
+  write_file(path, "");
+  EXPECT_THROW(read_record(path, header), IoError);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Strings, FormatBasics) {

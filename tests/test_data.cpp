@@ -191,19 +191,15 @@ TEST(DatasetIo, WritesPaperDirectoryLayout) {
 // --- writer/reader round-trips (ISSUE 4) ------------------------------------
 //
 // The readers exist so the artifact store can extract query fields at ingest;
-// these tests pin writer and reader to one schema, field for field.  Doubles
-// pass through the %.10g JSON dump, so compare at 1e-9 relative tolerance.
-
-void expect_close(double a, double b) {
-  EXPECT_NEAR(a, b, 1e-9 * std::max({1.0, std::abs(a), std::abs(b)}));
-}
+// these tests pin writer and reader to one schema, field for field.  Json
+// writes doubles exactly, so every double must come back bit for bit.
 
 TEST(DatasetIo, MetadataRoundTripsFieldForField) {
   const DatasetEntry& e = entry_by_id("4tmk");
   VqeResult vqe;
   vqe.logical_qubits = 22;
   vqe.allocation = published_eagle_allocation(e.length());
-  vqe.lowest_energy = 22590.2071234567;  // exercise the %.10g path
+  vqe.lowest_energy = 22590.2071234567;  // more digits than %.10g keeps
   vqe.highest_energy = 29135.42;
   vqe.energy_range = vqe.highest_energy - vqe.lowest_energy;
   vqe.modeled_exec_time_s = 199292.66;
@@ -226,16 +222,16 @@ TEST(DatasetIo, MetadataRoundTripsFieldForField) {
   EXPECT_EQ(m.measured.evaluations, vqe.evaluations);
   EXPECT_EQ(m.measured.total_shots,
             static_cast<std::int64_t>(vqe.total_shots));
-  expect_close(m.measured.lowest_energy, vqe.lowest_energy);
-  expect_close(m.measured.highest_energy, vqe.highest_energy);
-  expect_close(m.measured.energy_range, vqe.energy_range);
-  expect_close(m.measured.exec_time_s, vqe.modeled_exec_time_s);
+  EXPECT_EQ(m.measured.lowest_energy, vqe.lowest_energy);
+  EXPECT_EQ(m.measured.highest_energy, vqe.highest_energy);
+  EXPECT_EQ(m.measured.energy_range, vqe.energy_range);
+  EXPECT_EQ(m.measured.exec_time_s, vqe.modeled_exec_time_s);
   EXPECT_EQ(m.published.qubits, e.qubits);
   EXPECT_EQ(m.published.circuit_depth, e.depth);
-  expect_close(m.published.lowest_energy, e.lowest_energy);
-  expect_close(m.published.highest_energy, e.highest_energy);
-  expect_close(m.published.energy_range, e.energy_range);
-  expect_close(m.published.exec_time_s, e.exec_time_s);
+  EXPECT_EQ(m.published.lowest_energy, e.lowest_energy);
+  EXPECT_EQ(m.published.highest_energy, e.highest_energy);
+  EXPECT_EQ(m.published.energy_range, e.energy_range);
+  EXPECT_EQ(m.published.exec_time_s, e.exec_time_s);
 }
 
 TEST(DatasetIo, DockingRoundTripsFieldForField) {
@@ -254,16 +250,16 @@ TEST(DatasetIo, DockingRoundTripsFieldForField) {
   EXPECT_EQ(s.pdb_id, "2qbs");
   ASSERT_EQ(s.run_best.size(), d.run_best.size());
   for (std::size_t i = 0; i < d.run_best.size(); ++i) {
-    expect_close(s.run_best[i], d.run_best[i]);
+    EXPECT_EQ(s.run_best[i], d.run_best[i]);
   }
-  expect_close(s.best_affinity, d.best_affinity);
-  expect_close(s.mean_affinity, d.mean_affinity);
-  expect_close(s.pose_rmsd_lb_mean, d.rmsd_lb_mean);
-  expect_close(s.pose_rmsd_ub_mean, d.rmsd_ub_mean);
-  expect_close(s.ca_rmsd_vs_reference, 0.8660254038);
+  EXPECT_EQ(s.best_affinity, d.best_affinity);
+  EXPECT_EQ(s.mean_affinity, d.mean_affinity);
+  EXPECT_EQ(s.pose_rmsd_lb_mean, d.rmsd_lb_mean);
+  EXPECT_EQ(s.pose_rmsd_ub_mean, d.rmsd_ub_mean);
+  EXPECT_EQ(s.ca_rmsd_vs_reference, 0.8660254038);
   ASSERT_EQ(s.top_poses.size(), d.poses.size());
   for (std::size_t i = 0; i < d.poses.size(); ++i) {
-    expect_close(s.top_poses[i].affinity, d.poses[i].affinity);
+    EXPECT_EQ(s.top_poses[i].affinity, d.poses[i].affinity);
     EXPECT_EQ(s.top_poses[i].run, d.poses[i].run);
   }
 }

@@ -375,9 +375,17 @@ TEST(Journal, RoundTripsEveryFieldIncludingAttemptsAndFailureLogs) {
 
   // Fingerprint and format mismatches refuse loudly.
   EXPECT_THROW(coordinator_journal_from_json(doc, fp + 1), Error);
+  EXPECT_THROW(coordinator_journal_from_json(doc, fp + 1), IoError);
   Json bad = Json::object();
   bad.set("format", "something-else");
   EXPECT_THROW(coordinator_journal_from_json(bad, fp), IoError);
+
+  // A version-1 journal (%.10g text plus "_bits" twins in its records) is
+  // refused rather than resumed from its rounded values.
+  Json v1 = Json::parse(R"({"format": "qdockbank-orchestrator-journal",
+    "version": 1, "next_token": 1, "counters": {}, "jobs": []})");
+  v1.set("options_fingerprint", static_cast<std::int64_t>(fp));
+  EXPECT_THROW(coordinator_journal_from_json(v1, fp), IoError);
 }
 
 TEST(Journal, CoordinatorResumeVoidsLeasesRequeuesFailedKeepsDone) {

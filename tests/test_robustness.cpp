@@ -643,6 +643,18 @@ TEST(BatchResilience, CorruptOrMismatchedCheckpointRefusesToResume) {
   BatchOptions other = opt;
   other.usd_per_second = 99.0;
   EXPECT_THROW(run_batch(subset, other), Error);
+  EXPECT_THROW(run_batch(subset, other), IoError);
+
+  // A version-1 checkpoint (%.10g text plus "_bits" twins) is refused rather
+  // than resumed from its rounded values.
+  write_file(path, R"({"format": "qdockbank-batch-checkpoint", "version": 1,
+    "options_fingerprint": 1, "completed_jobs": 1, "jobs": [{"pdb_id": "4jpy",
+      "group": "L", "qubits": 27, "evaluations": 1, "shots": 1,
+      "device_time_s": 0.3, "device_time_s_bits": 4599075939470750516,
+      "lowest_energy": 0.0, "lowest_energy_bits": 0, "status": "ok",
+      "attempts": 1, "retry_wait_s": 0.0, "retry_wait_s_bits": 0,
+      "engine_used": "dense", "degradation": "", "failure_log": []}]})");
+  EXPECT_THROW(run_batch(subset, opt), IoError);
 
   std::filesystem::remove_all(dir);
 }

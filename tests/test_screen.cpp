@@ -346,11 +346,27 @@ TEST(Checkpoint, RefusesMismatchedRunsAndRoundTripsMatchingOnes) {
   EXPECT_EQ(chunks_done, 1u);
   ASSERT_EQ(loaded.size(), 2u);
   EXPECT_EQ(loaded[0].id, results[0].id);
-  EXPECT_EQ(loaded[0].best_score, results[0].best_score);  // bitwise via _bits
+  EXPECT_EQ(loaded[0].best_score, results[0].best_score);  // bitwise
   ASSERT_EQ(loaded[0].poses.size(), 1u);
   EXPECT_EQ(loaded[0].poses[0].score, sp.score);
   EXPECT_EQ(loaded[0].poses[0].pose.translation.x, 1.0);
   EXPECT_EQ(loaded[1].index, 1u);
+
+  // A truncated file is corrupt: IoError, not an escaping ParseError.
+  const std::string text = read_file(path);
+  write_file(path, text.substr(0, text.size() / 2));
+  EXPECT_THROW(load_screen_checkpoint(path, 42, "4jpy", 2, &loaded, &chunks_done),
+               IoError);
+
+  // A version-1 checkpoint (%.10g text plus "_bits" twins) is refused rather
+  // than resumed from its rounded values.
+  write_file(path, R"({"version": 1, "kind": "screen-checkpoint",
+    "options_fingerprint": 42, "receptor": "4jpy", "chunk_size": 2,
+    "chunks_done": 1, "stage1": [{"index": 0,
+      "id": "LIB-0000000000000001-00000000", "best_score": -1.25,
+      "best_score_bits": -4615063718147915776, "poses": []}]})");
+  EXPECT_THROW(load_screen_checkpoint(path, 42, "4jpy", 2, &loaded, &chunks_done),
+               IoError);
   fs::remove(path);
 }
 
