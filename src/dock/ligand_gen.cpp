@@ -248,18 +248,9 @@ ImprintResult imprint_ligand_with_site(const Ligand& generic, const Structure& r
 
   if (std::getenv("QDB_DEBUG_IMPRINT") != nullptr) {
     // Diagnostic: the score at the exact imprint pose.  The constructor
-    // re-centres local coordinates by the heavy-atom centroid c, so the
-    // imprint pose of the final ligand is (R, t + R c).
-    Vec3 c;
-    int heavy = 0;
-    for (std::size_t i = 0; i < imprinted.atoms().size(); ++i) {
-      const Mat3 r_mat = pose.orientation.to_matrix();
-      (void)r_mat;
-      if (generic.atoms()[i].element != 'H') ++heavy;
-    }
-    (void)c;
+    // re-centres local coordinates, so solve for the translation that maps
+    // atom 0 back onto world[0] under the imprint orientation.
     Pose at_imprint = imprinted.neutral_pose();
-    // Solve for the translation that maps atom 0 back onto world[0].
     const Mat3 r_mat = pose.orientation.to_matrix();
     at_imprint.orientation = pose.orientation;
     at_imprint.translation = world[0] - r_mat * imprinted.atoms()[0].local_pos;

@@ -1,5 +1,8 @@
 #include "dock/vina_score.h"
 
+#include <algorithm>
+#include <limits>
+
 #include "common/check.h"
 #include "common/error.h"
 
@@ -46,20 +49,87 @@ std::vector<ReceptorAtom> type_receptor(const Structure& receptor) {
   return out;
 }
 
-ReceptorGrid::ReceptorGrid(std::vector<ReceptorAtom> atoms, double cutoff)
-    : atoms_(std::move(atoms)), cutoff_(cutoff), cell_(cutoff) {
-  QDB_REQUIRE(!atoms_.empty(), "receptor grid needs atoms");
+ReceptorGrid::ReceptorGrid(const std::vector<ReceptorAtom>& atoms, double cutoff)
+    : cutoff_(cutoff), cell_(cutoff) {
+  QDB_REQUIRE(!atoms.empty(), "receptor grid needs atoms");
   QDB_REQUIRE(cutoff > 0.0, "cutoff must be positive");
-  origin_ = atoms_[0].pos;
-  for (const ReceptorAtom& a : atoms_) {
+  QDB_REQUIRE(atoms.size() < (std::size_t{1} << 31), "receptor grid: too many atoms");
+  origin_ = atoms[0].pos;
+  Vec3 hi = atoms[0].pos;
+  for (const ReceptorAtom& a : atoms) {
+    QDB_REQUIRE(std::isfinite(a.pos.x) && std::isfinite(a.pos.y) && std::isfinite(a.pos.z),
+                "receptor grid: non-finite atom coordinate");
     origin_.x = std::min(origin_.x, a.pos.x);
     origin_.y = std::min(origin_.y, a.pos.y);
     origin_.z = std::min(origin_.z, a.pos.z);
+    hi.x = std::max(hi.x, a.pos.x);
+    hi.y = std::max(hi.y, a.pos.y);
+    hi.z = std::max(hi.z, a.pos.z);
   }
-  for (std::size_t i = 0; i < atoms_.size(); ++i) {
-    const Vec3 rel = atoms_[i].pos - origin_;
-    cells_[key(cell_index(rel.x), cell_index(rel.y), cell_index(rel.z))].push_back(
-        static_cast<int>(i));
+  // Occupied cells plus one empty padding layer on each side.
+  auto extent = [&](double lo, double top) {
+    const double cells = std::floor((top - lo) / cell_) + 3.0;
+    QDB_REQUIRE(cells <= 1024.0, "receptor grid: extent too large for the cell box");
+    return static_cast<int>(cells);
+  };
+  nx_ = extent(origin_.x, hi.x);
+  ny_ = extent(origin_.y, hi.y);
+  nz_ = extent(origin_.z, hi.z);
+  const std::size_t num_cells =
+      static_cast<std::size_t>(nx_) * static_cast<std::size_t>(ny_) * static_cast<std::size_t>(nz_);
+  QDB_REQUIRE(num_cells <= (std::size_t{1} << 24), "receptor grid: too many cells");
+  auto linear = [&](int x, int y, int z) {
+    return (static_cast<std::size_t>(x) * static_cast<std::size_t>(ny_) +
+            static_cast<std::size_t>(y)) * static_cast<std::size_t>(nz_) +
+           static_cast<std::size_t>(z);
+  };
+
+  // Counting sort by cell; stable, so each cell keeps ascending indices.
+  std::vector<std::size_t> cell_of_atom(atoms.size());
+  std::vector<std::uint32_t> start(num_cells + 1, 0);
+  for (std::size_t i = 0; i < atoms.size(); ++i) {
+    const Vec3& p = atoms[i].pos;
+    cell_of_atom[i] = linear(cell_of(p.x, origin_.x, nx_), cell_of(p.y, origin_.y, ny_),
+                             cell_of(p.z, origin_.z, nz_));
+    ++start[cell_of_atom[i] + 1];
+  }
+  for (std::size_t c = 0; c < num_cells; ++c) start[c + 1] += start[c];
+  x_.resize(atoms.size());
+  y_.resize(atoms.size());
+  z_.resize(atoms.size());
+  radius_.resize(atoms.size());
+  flags_.resize(atoms.size());
+  index_.resize(atoms.size());
+  std::vector<std::uint32_t> fill(start.begin(), start.end() - 1);
+  for (std::size_t i = 0; i < atoms.size(); ++i) {
+    const ReceptorAtom& a = atoms[i];
+    const std::uint32_t k = fill[cell_of_atom[i]]++;
+    x_[k] = a.pos.x;
+    y_[k] = a.pos.y;
+    z_[k] = a.pos.z;
+    radius_[k] = vdw_radius(a.element);
+    flags_[k] = static_cast<std::uint8_t>((a.hydrophobic ? kHydrophobic : 0) |
+                                          (a.donor ? kDonor : 0) | (a.acceptor ? kAcceptor : 0));
+    index_[k] = static_cast<int>(i);
+  }
+
+  // Per cell, the (dx, dy) runs cover cells z-1..z+1 of that column; the
+  // padding layers are empty, so clipping a run at the box edge drops no atom.
+  runs_.resize(num_cells * kRuns);
+  for (int x = 0; x < nx_; ++x) {
+    for (int y = 0; y < ny_; ++y) {
+      for (int z = 0; z < nz_; ++z) {
+        Run* runs = &runs_[linear(x, y, z) * kRuns];
+        for (int dx = -1; dx <= 1; ++dx) {
+          for (int dy = -1; dy <= 1; ++dy, ++runs) {
+            const int nx = x + dx, ny = y + dy;
+            if (nx < 0 || nx >= nx_ || ny < 0 || ny >= ny_) continue;
+            runs->begin = start[linear(nx, ny, std::max(z - 1, 0))];
+            runs->end = start[linear(nx, ny, std::min(z + 1, nz_ - 1)) + 1];
+          }
+        }
+      }
+    }
   }
 }
 
@@ -74,36 +144,56 @@ double slope_step(double x, double good, double bad) {
 
 }  // namespace
 
-double intermolecular_energy(const ReceptorGrid& grid, const Ligand& ligand,
-                             const std::vector<Vec3>& coords, const VinaWeights& w) {
-  QDB_REQUIRE(coords.size() == static_cast<std::size_t>(ligand.num_atoms()),
-              "coords/ligand mismatch");
-  const double cutoff2 = grid.cutoff() * grid.cutoff();
-  const auto& ratoms = grid.atoms();
-  double total = 0.0;
+double accumulate_point_energy(const ReceptorGrid& grid, const Vec3& p, const LigandAtom& atom,
+                               double total, const VinaWeights& w) {
+  if (!(std::isfinite(p.x) && std::isfinite(p.y) && std::isfinite(p.z))) {
+    return std::numeric_limits<double>::quiet_NaN();
+  }
+  const ReceptorGrid::Run* runs = grid.runs_at(p);
+  if (runs == nullptr) return total;
+  const double cutoff2 = grid.cutoff_ * grid.cutoff_;
+  const double lr = vdw_radius(atom.element);
+  const std::uint8_t hydrophobic = atom.hydrophobic ? ReceptorGrid::kHydrophobic : std::uint8_t{0};
+  const std::uint8_t hbond = static_cast<std::uint8_t>(
+      (atom.donor ? ReceptorGrid::kAcceptor : 0) | (atom.acceptor ? ReceptorGrid::kDonor : 0));
+  const double* rx = grid.x_.data();
+  const double* ry = grid.y_.data();
+  const double* rz = grid.z_.data();
+  const double* rr = grid.radius_.data();
+  const std::uint8_t* rf = grid.flags_.data();
 
-  for (std::size_t li = 0; li < coords.size(); ++li) {
-    const LigandAtom& la = ligand.atoms()[li];
-    if (la.element == 'H') continue;
-    const Vec3& lp = coords[li];
-    const double lr = vdw_radius(la.element);
-
-    grid.for_neighbors(lp, [&](int ri) {
-      const ReceptorAtom& ra = ratoms[static_cast<std::size_t>(ri)];
-      const double d2 = lp.distance2(ra.pos);
-      if (d2 > cutoff2) return;
+  for (int r = 0; r < ReceptorGrid::kRuns; ++r) {
+    for (std::uint32_t k = runs[r].begin; k < runs[r].end; ++k) {
+      // The arithmetic of p.distance2(atom position), term for term.
+      const double dx = p.x - rx[k];
+      const double dy = p.y - ry[k];
+      const double dz = p.z - rz[k];
+      const double d2 = dx * dx + dy * dy + dz * dz;
+      if (d2 > cutoff2) continue;
       const double d = std::sqrt(d2);
-      const double ds = d - lr - vdw_radius(ra.element);
+      const double ds = d - lr - rr[k];
 
       double e = w.gauss1 * std::exp(-(ds / 0.5) * (ds / 0.5));
       const double g2 = (ds - 3.0) / 2.0;
       e += w.gauss2 * std::exp(-g2 * g2);
       if (ds < 0.0) e += w.repulsion * ds * ds;
-      if (la.hydrophobic && ra.hydrophobic) e += w.hydrophobic * slope_step(ds, 0.5, 1.5);
-      const bool hb = (la.donor && ra.acceptor) || (la.acceptor && ra.donor);
-      if (hb) e += w.hbond * slope_step(ds, -0.7, 0.0);
+      if ((rf[k] & hydrophobic) != 0) e += w.hydrophobic * slope_step(ds, 0.5, 1.5);
+      if ((rf[k] & hbond) != 0) e += w.hbond * slope_step(ds, -0.7, 0.0);
       total += e;
-    });
+    }
+  }
+  return total;
+}
+
+double intermolecular_energy(const ReceptorGrid& grid, const Ligand& ligand,
+                             const std::vector<Vec3>& coords, const VinaWeights& w) {
+  QDB_REQUIRE(coords.size() == static_cast<std::size_t>(ligand.num_atoms()),
+              "coords/ligand mismatch");
+  double total = 0.0;
+  for (std::size_t li = 0; li < coords.size(); ++li) {
+    const LigandAtom& la = ligand.atoms()[li];
+    if (la.element == 'H') continue;
+    total = accumulate_point_energy(grid, coords[li], la, total, w);
   }
   return total;
 }

@@ -17,7 +17,7 @@
 #pragma once
 
 #include <cmath>
-#include <unordered_map>
+#include <cstdint>
 #include <vector>
 
 #include "dock/ligand.h"
@@ -42,46 +42,6 @@ double vdw_radius(char element);
 /// side-chain terminal N/O follow their residue chemistry.
 std::vector<ReceptorAtom> type_receptor(const Structure& receptor);
 
-/// Uniform-cell spatial grid over receptor atoms for O(1) neighbour lookup
-/// within the scoring cutoff.
-class ReceptorGrid {
- public:
-  explicit ReceptorGrid(std::vector<ReceptorAtom> atoms, double cutoff = 8.0);
-
-  const std::vector<ReceptorAtom>& atoms() const { return atoms_; }
-  double cutoff() const { return cutoff_; }
-
-  /// Visit the indices of receptor atoms within the cutoff of `p`.
-  template <typename Fn>
-  void for_neighbors(const Vec3& p, Fn&& fn) const {
-    const int cx = cell_index(p.x - origin_.x);
-    const int cy = cell_index(p.y - origin_.y);
-    const int cz = cell_index(p.z - origin_.z);
-    for (int dx = -1; dx <= 1; ++dx) {
-      for (int dy = -1; dy <= 1; ++dy) {
-        for (int dz = -1; dz <= 1; ++dz) {
-          const auto it = cells_.find(key(cx + dx, cy + dy, cz + dz));
-          if (it == cells_.end()) continue;
-          for (int idx : it->second) fn(idx);
-        }
-      }
-    }
-  }
-
- private:
-  int cell_index(double v) const { return static_cast<int>(std::floor(v / cell_)); }
-  static long key(int x, int y, int z) {
-    return (static_cast<long>(x) & 0x1FFFFF) | ((static_cast<long>(y) & 0x1FFFFF) << 21) |
-           ((static_cast<long>(z) & 0x1FFFFF) << 42);
-  }
-
-  std::vector<ReceptorAtom> atoms_;
-  double cutoff_;
-  double cell_;
-  Vec3 origin_;
-  std::unordered_map<long, std::vector<int>> cells_;
-};
-
 /// Vina term weights (exposed for the scoring ablation bench).
 struct VinaWeights {
   double gauss1 = -0.035579;
@@ -92,7 +52,91 @@ struct VinaWeights {
   double rot_penalty = 0.05846;
 };
 
-/// Intermolecular energy of ligand coordinates against the receptor grid.
+/// Flat spatial index over the receptor's heavy atoms for neighbour lookup
+/// within the scoring cutoff.
+///
+/// Cells are cubes of side `cutoff` anchored at the receptor's minimum
+/// corner, laid out densely in a box with one empty layer of padding on each
+/// side, z fastest.  Each atom is stored once, sorted by (cell, original
+/// index), as struct-of-arrays (x, y, z, vdW radius, type flags).  Because z
+/// is fastest, the three z-neighbours of a cell are adjacent, so each query
+/// cell's 27-cell neighbourhood is 9 contiguous (dx, dy) runs over those
+/// arrays.  Memory is O(atoms + cells).
+///
+/// Walk-order contract: the neighbourhood of a point is visited cell by
+/// cell in nested (dx, dy, dz) order, each from -1 to 1, and by ascending
+/// original atom index within a cell.  Scores are sums over pairs in this
+/// order, so the order is part of the bit-for-bit results.  A point whose
+/// cell lies outside the padded box visits nothing; the range check happens
+/// in double precision, so far-off points are safe.
+class ReceptorGrid {
+ public:
+  explicit ReceptorGrid(const std::vector<ReceptorAtom>& atoms, double cutoff = 8.0);
+
+  /// Visit the original indices of the receptor atoms in the 27 cells
+  /// around `p`, in walk order.  A superset of the atoms within the cutoff;
+  /// nothing for a non-finite `p`.
+  template <typename Fn>
+  void for_neighbors(const Vec3& p, Fn&& fn) const {
+    const Run* runs = runs_at(p);
+    if (runs == nullptr) return;
+    for (int r = 0; r < kRuns; ++r) {
+      for (std::uint32_t k = runs[r].begin; k < runs[r].end; ++k) fn(index_[k]);
+    }
+  }
+
+ private:
+  friend double accumulate_point_energy(const ReceptorGrid& grid, const Vec3& p,
+                                        const LigandAtom& atom, double total,
+                                        const VinaWeights& w);
+
+  /// Half-open range of sorted atom slots.
+  struct Run {
+    std::uint32_t begin = 0, end = 0;
+  };
+  static constexpr int kRuns = 9;  ///< one per (dx, dy)
+  static constexpr std::uint8_t kHydrophobic = 1, kDonor = 2, kAcceptor = 4;
+
+  /// Padded cell coordinate of `v` along one axis, or -1 outside [0, n).
+  int cell_of(double v, double origin, int n) const {
+    const double c = std::floor((v - origin) / cell_) + 1.0;
+    return c >= 0.0 && c < static_cast<double>(n) ? static_cast<int>(c) : -1;
+  }
+
+  /// The kRuns runs of the cell containing `p`; nullptr outside the box.
+  const Run* runs_at(const Vec3& p) const {
+    const int cx = cell_of(p.x, origin_.x, nx_);
+    const int cy = cell_of(p.y, origin_.y, ny_);
+    const int cz = cell_of(p.z, origin_.z, nz_);
+    if (cx < 0 || cy < 0 || cz < 0) return nullptr;
+    const std::size_t cell = (static_cast<std::size_t>(cx) * static_cast<std::size_t>(ny_) +
+                              static_cast<std::size_t>(cy)) * static_cast<std::size_t>(nz_) +
+                             static_cast<std::size_t>(cz);
+    return &runs_[cell * kRuns];
+  }
+
+  double cutoff_;
+  double cell_;
+  Vec3 origin_;
+  int nx_ = 0, ny_ = 0, nz_ = 0;  ///< padded box size in cells
+  // Receptor atoms sorted by (cell, original index).
+  std::vector<double> x_, y_, z_, radius_;
+  std::vector<std::uint8_t> flags_;  ///< kHydrophobic | kDonor | kAcceptor
+  std::vector<int> index_;           ///< original index
+  std::vector<Run> runs_;            ///< kRuns per cell
+};
+
+/// The one pair-sum kernel of the scorer: adds the Vina energy of one
+/// ligand atom of `atom`'s type at `p` against every receptor atom within
+/// the cutoff to `total`, pair by pair in walk order, and returns the sum.
+/// NaN for a non-finite `p`; `total` unchanged for a point outside the box.
+/// intermolecular_energy and the screening grid's node fill both call it,
+/// so a grid node equals a one-atom intermolecular_energy bit for bit.
+double accumulate_point_energy(const ReceptorGrid& grid, const Vec3& p, const LigandAtom& atom,
+                               double total, const VinaWeights& w = VinaWeights{});
+
+/// Intermolecular energy of ligand coordinates against the receptor grid;
+/// NaN if a heavy atom has a non-finite coordinate.
 double intermolecular_energy(const ReceptorGrid& grid, const Ligand& ligand,
                              const std::vector<Vec3>& coords,
                              const VinaWeights& w = VinaWeights{});

@@ -16,55 +16,15 @@ namespace {
 
 constexpr double kCutoff = 8.0;  // Vina scoring cutoff, matches vina_score
 
-/// Linear slope that is 1 below `good`, 0 above `bad` — byte-for-byte the
-/// slope_step of vina_score.cpp (replicated because node exactness needs the
-/// identical arithmetic, and the original is file-local).
-double slope_step(double x, double good, double bad) {
-  if (x <= good) return 1.0;
-  if (x >= bad) return 0.0;
-  return (bad - x) / (bad - good);
-}
-
-struct ProbeAtom {
-  char element;
-  bool hydrophobic;
-  bool donor;
-  bool acceptor;
-};
-
-constexpr ProbeAtom kProbes[kNumProbes] = {
-    {'C', true, false, false},   // Probe::Carbon
-    {'N', false, true, false},   // Probe::Nitrogen
-    {'O', false, false, true},   // Probe::Oxygen
-};
-
-/// Vina intermolecular energy of a single probe atom at `lp`.  This loop is
-/// a transliteration of intermolecular_energy()'s inner loop: same neighbour
-/// walk, same pair order, same expression order — the node-exactness
-/// contract of the class rests on the two accumulating identically.
-double probe_point_energy(const qdb::ReceptorGrid& rec, const Vec3& lp,
-                          const ProbeAtom& probe, const VinaWeights& w) {
-  const double cutoff2 = rec.cutoff() * rec.cutoff();
-  const auto& ratoms = rec.atoms();
-  const double lr = vdw_radius(probe.element);
-  double total = 0.0;
-  rec.for_neighbors(lp, [&](int ri) {
-    const ReceptorAtom& ra = ratoms[static_cast<std::size_t>(ri)];
-    const double d2 = lp.distance2(ra.pos);
-    if (d2 > cutoff2) return;
-    const double d = std::sqrt(d2);
-    const double ds = d - lr - vdw_radius(ra.element);
-
-    double e = w.gauss1 * std::exp(-(ds / 0.5) * (ds / 0.5));
-    const double g2 = (ds - 3.0) / 2.0;
-    e += w.gauss2 * std::exp(-g2 * g2);
-    if (ds < 0.0) e += w.repulsion * ds * ds;
-    if (probe.hydrophobic && ra.hydrophobic) e += w.hydrophobic * slope_step(ds, 0.5, 1.5);
-    const bool hb = (probe.donor && ra.acceptor) || (probe.acceptor && ra.donor);
-    if (hb) e += w.hbond * slope_step(ds, -0.7, 0.0);
-    total += e;
-  });
-  return total;
+/// The single-atom ligand atom a probe channel samples.
+LigandAtom probe_atom(Probe probe) {
+  LigandAtom a;
+  switch (probe) {
+    case Probe::Carbon: a.element = 'C'; a.hydrophobic = true; break;
+    case Probe::Nitrogen: a.element = 'N'; a.donor = true; break;
+    case Probe::Oxygen: a.element = 'O'; a.acceptor = true; break;
+  }
+  return a;
 }
 
 /// (1-t)*a + t*b rather than a + t*(b-a): degenerates to exactly `a` at t=0
@@ -144,6 +104,8 @@ ReceptorGrid::ReceptorGrid(const Structure& receptor, const GridParams& params) 
                                                 "or raise the spacing)");
 
   const qdb::ReceptorGrid rec(type_receptor(receptor), kCutoff);
+  const std::array<LigandAtom, kNumProbes> probes = {
+      probe_atom(Probe::Carbon), probe_atom(Probe::Nitrogen), probe_atom(Probe::Oxygen)};
   for (auto& channel : values_) channel.assign(static_cast<std::size_t>(nodes), 0.0);
 
   // Disjoint writes per node: the built grid is identical for every thread
@@ -156,7 +118,8 @@ ReceptorGrid::ReceptorGrid(const Structure& receptor, const GridParams& params) 
     const Vec3 p = node_pos(i, j, k);
     for (int probe = 0; probe < kNumProbes; ++probe) {
       values_[static_cast<std::size_t>(probe)][static_cast<std::size_t>(n)] =
-          probe_point_energy(rec, p, kProbes[probe], weights_);
+          accumulate_point_energy(rec, p, probes[static_cast<std::size_t>(probe)], 0.0,
+                                  weights_);
     }
   });
   node_evals.add(static_cast<std::uint64_t>(nodes) * kNumProbes);

@@ -12,11 +12,12 @@
 // Exactness contract (tested in test_screen.cpp):
 //   - At a grid NODE, the interpolated value for a probe equals
 //     `intermolecular_energy` of a single-atom ligand of that probe type at
-//     the node position, bit for bit.  Node channels are accumulated in the
-//     exact pair order intermolecular_energy uses (same spatial-hash
-//     neighbour grid, same arithmetic), node coordinates are exact multiples
-//     of the spacing (the origin is snapped to the lattice), and the
-//     interpolation weights degenerate to exactly 0/1 at nodes.
+//     the node position, bit for bit.  Node channels are filled by the same
+//     kernel, `accumulate_point_energy` of vina_score, that
+//     intermolecular_energy sums with, so the pair order and arithmetic are
+//     shared by construction; node coordinates are exact multiples of the
+//     spacing (the origin is snapped to the lattice), and the interpolation
+//     weights degenerate to exactly 0/1 at nodes.
 //   - Between nodes the filter is an approximation; published affinities
 //     always come from full rescoring (DESIGN.md §14).
 //   - Poses reaching outside the box are not extrapolated: each out-of-box

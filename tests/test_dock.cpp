@@ -2,10 +2,18 @@
 // terms, the receptor grid, pose-RMSD metrics, and full docking runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <set>
+#include <unordered_map>
+#include <utility>
 
 #include "common/error.h"
+#include "common/rng.h"
+#include "data/reference.h"
 #include "dock/dock.h"
 #include "dock/ligand_gen.h"
 #include "dock/vina_score.h"
@@ -213,14 +221,229 @@ TEST(VinaScore, GridMatchesBruteForceNeighbourhood) {
   const Structure rec = test_receptor("PWWERYQP");
   const auto typed = type_receptor(rec);
   const ReceptorGrid grid(typed, 8.0);
-  const Vec3 probe{2.0, -1.0, 3.0};
-  std::set<int> from_grid;
-  grid.for_neighbors(probe, [&](int i) { from_grid.insert(i); });
-  // Every atom within the cutoff must be visited by the grid.
-  for (std::size_t i = 0; i < typed.size(); ++i) {
-    if (typed[i].pos.distance(probe) <= 8.0) {
-      EXPECT_TRUE(from_grid.count(static_cast<int>(i))) << i;
+  Vec3 origin = typed[0].pos;
+  for (const ReceptorAtom& a : typed) {
+    origin = {std::min(origin.x, a.pos.x), std::min(origin.y, a.pos.y),
+              std::min(origin.z, a.pos.z)};
+  }
+  auto cell = [&](double v, double o) { return static_cast<int>(std::floor((v - o) / 8.0)); };
+  for (const Vec3& probe : {Vec3{2.0, -1.0, 3.0}, Vec3{-9.5, 4.0, 0.5}, Vec3{0.0, 0.0, 0.0}}) {
+    std::vector<int> visited;
+    grid.for_neighbors(probe, [&](int i) { visited.push_back(i); });
+    // Every atom within the cutoff must be visited by the grid.
+    const std::set<int> from_grid(visited.begin(), visited.end());
+    for (std::size_t i = 0; i < typed.size(); ++i) {
+      if (typed[i].pos.distance(probe) <= 8.0) {
+        EXPECT_TRUE(from_grid.count(static_cast<int>(i))) << i;
+      }
     }
+    // ... in the walk order: cells in nested (dx, dy, dz) order, ascending
+    // atom index within a cell.
+    std::vector<int> expected;
+    const int px = cell(probe.x, origin.x), py = cell(probe.y, origin.y),
+              pz = cell(probe.z, origin.z);
+    for (int dx = -1; dx <= 1; ++dx) {
+      for (int dy = -1; dy <= 1; ++dy) {
+        for (int dz = -1; dz <= 1; ++dz) {
+          for (std::size_t i = 0; i < typed.size(); ++i) {
+            const Vec3& a = typed[i].pos;
+            if (cell(a.x, origin.x) == px + dx && cell(a.y, origin.y) == py + dy &&
+                cell(a.z, origin.z) == pz + dz) {
+              expected.push_back(static_cast<int>(i));
+            }
+          }
+        }
+      }
+    }
+    EXPECT_EQ(visited, expected);
+  }
+}
+
+/// The hashed 27-cell neighbour walk and pair loop the flat index replaced,
+/// kept verbatim as the bit-identity oracle.
+class HashedReceptorGrid {
+ public:
+  explicit HashedReceptorGrid(std::vector<ReceptorAtom> atoms)
+      : atoms_(std::move(atoms)), cell_(8.0) {
+    origin_ = atoms_[0].pos;
+    for (const ReceptorAtom& a : atoms_) {
+      origin_.x = std::min(origin_.x, a.pos.x);
+      origin_.y = std::min(origin_.y, a.pos.y);
+      origin_.z = std::min(origin_.z, a.pos.z);
+    }
+    for (std::size_t i = 0; i < atoms_.size(); ++i) {
+      const Vec3 rel = atoms_[i].pos - origin_;
+      cells_[key(cell_index(rel.x), cell_index(rel.y), cell_index(rel.z))].push_back(
+          static_cast<int>(i));
+    }
+  }
+
+  template <typename Fn>
+  void for_neighbors(const Vec3& p, Fn&& fn) const {
+    const int cx = cell_index(p.x - origin_.x);
+    const int cy = cell_index(p.y - origin_.y);
+    const int cz = cell_index(p.z - origin_.z);
+    for (int dx = -1; dx <= 1; ++dx) {
+      for (int dy = -1; dy <= 1; ++dy) {
+        for (int dz = -1; dz <= 1; ++dz) {
+          const auto it = cells_.find(key(cx + dx, cy + dy, cz + dz));
+          if (it == cells_.end()) continue;
+          for (int idx : it->second) fn(idx);
+        }
+      }
+    }
+  }
+
+  double energy(const Ligand& ligand, const std::vector<Vec3>& coords,
+                const VinaWeights& w = VinaWeights{}) const {
+    const double cutoff2 = 8.0 * 8.0;
+    double total = 0.0;
+    for (std::size_t li = 0; li < coords.size(); ++li) {
+      const LigandAtom& la = ligand.atoms()[li];
+      if (la.element == 'H') continue;
+      const Vec3& lp = coords[li];
+      const double lr = vdw_radius(la.element);
+      for_neighbors(lp, [&](int ri) {
+        const ReceptorAtom& ra = atoms_[static_cast<std::size_t>(ri)];
+        const double d2 = lp.distance2(ra.pos);
+        if (d2 > cutoff2) return;
+        const double d = std::sqrt(d2);
+        const double ds = d - lr - vdw_radius(ra.element);
+
+        double e = w.gauss1 * std::exp(-(ds / 0.5) * (ds / 0.5));
+        const double g2 = (ds - 3.0) / 2.0;
+        e += w.gauss2 * std::exp(-g2 * g2);
+        if (ds < 0.0) e += w.repulsion * ds * ds;
+        if (la.hydrophobic && ra.hydrophobic) e += w.hydrophobic * slope_step(ds, 0.5, 1.5);
+        const bool hb = (la.donor && ra.acceptor) || (la.acceptor && ra.donor);
+        if (hb) e += w.hbond * slope_step(ds, -0.7, 0.0);
+        total += e;
+      });
+    }
+    return total;
+  }
+
+  const Vec3& origin() const { return origin_; }
+
+ private:
+  static double slope_step(double x, double good, double bad) {
+    if (x <= good) return 1.0;
+    if (x >= bad) return 0.0;
+    return (bad - x) / (bad - good);
+  }
+  int cell_index(double v) const { return static_cast<int>(std::floor(v / cell_)); }
+  static long key(int x, int y, int z) {
+    return (static_cast<long>(x) & 0x1FFFFF) | ((static_cast<long>(y) & 0x1FFFFF) << 21) |
+           ((static_cast<long>(z) & 0x1FFFFF) << 42);
+  }
+
+  std::vector<ReceptorAtom> atoms_;
+  double cell_;
+  Vec3 origin_;
+  std::unordered_map<long, std::vector<int>> cells_;
+};
+
+std::uint64_t bits(double v) {
+  std::uint64_t b;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+TEST(VinaScore, FlatIndexMatchesHashedWalkBitForBit) {
+  // Reference receptors of an S, an M and an L entry.
+  for (const char* id : {"6p86", "2qbs", "4jpy"}) {
+    SCOPED_TRACE(id);
+    const std::vector<ReceptorAtom> typed =
+        type_receptor(reference_structure(entry_by_id(id)));
+    const ReceptorGrid flat(typed, 8.0);
+    const HashedReceptorGrid hashed(typed);
+    const Ligand ligand = generate_ligand(id);
+    Vec3 lo = typed[0].pos, hi = typed[0].pos;
+    for (const ReceptorAtom& a : typed) {
+      lo = {std::min(lo.x, a.pos.x), std::min(lo.y, a.pos.y), std::min(lo.z, a.pos.z)};
+      hi = {std::max(hi.x, a.pos.x), std::max(hi.y, a.pos.y), std::max(hi.z, a.pos.z)};
+    }
+
+    std::uint64_t state = fnv1a(id);
+    auto uniform = [&]() {
+      return static_cast<double>(splitmix64(state) >> 11) * 0x1.0p-53;
+    };
+    // Seeded poses over the receptor box grown by 20 A on each side, so
+    // some ligands sit wholly or partly outside the receptor's cells.
+    for (int n = 0; n < 200; ++n) {
+      Pose pose = ligand.neutral_pose();
+      pose.translation = {lo.x - 20.0 + uniform() * (hi.x - lo.x + 40.0),
+                          lo.y - 20.0 + uniform() * (hi.y - lo.y + 40.0),
+                          lo.z - 20.0 + uniform() * (hi.z - lo.z + 40.0)};
+      pose.orientation = Quat::random(uniform(), uniform(), uniform());
+      for (double& t : pose.torsions) t = (2.0 * uniform() - 1.0) * kPi;
+      const std::vector<Vec3> coords = ligand.conformation(pose);
+      EXPECT_EQ(bits(intermolecular_energy(flat, ligand, coords)),
+                bits(hashed.energy(ligand, coords)))
+          << "pose " << n;
+    }
+
+    // Single atoms exactly on 8 A cell boundaries (and one cell beyond the
+    // occupied range), for every probe chemistry; the visit order matches
+    // too.
+    std::vector<LigandAtom> probe(1);
+    for (const auto& [element, role] : {std::pair{'C', 0}, std::pair{'N', 1}, std::pair{'O', 2}}) {
+      probe[0].element = element;
+      probe[0].hydrophobic = role == 0;
+      probe[0].donor = role == 1;
+      probe[0].acceptor = role == 2;
+      const Ligand atom(probe, {}, "probe");
+      const Vec3& o = hashed.origin();
+      for (int i = -2; i * 8.0 <= hi.x - o.x + 16.0; ++i) {
+        for (int j = -2; j * 8.0 <= hi.y - o.y + 16.0; ++j) {
+          for (int k = -2; k * 8.0 <= hi.z - o.z + 16.0; k += 2) {
+            const Vec3 p{o.x + 8.0 * i, o.y + 8.0 * j, o.z + 8.0 * k + 4.0 * (i & 1)};
+            EXPECT_EQ(bits(intermolecular_energy(flat, atom, {p})),
+                      bits(hashed.energy(atom, {p})));
+            if (role != 0) continue;
+            std::vector<int> a, b;
+            flat.for_neighbors(p, [&](int r) { a.push_back(r); });
+            hashed.for_neighbors(p, [&](int r) { b.push_back(r); });
+            EXPECT_EQ(a, b);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(VinaScore, FarPointContributesExactlyZero) {
+  const Structure rec = test_receptor();
+  const ReceptorGrid grid(type_receptor(rec), 8.0);
+  const Ligand probe = two_atom_probe();
+  for (const Vec3& far : {Vec3{1e12, 0, 0}, Vec3{0, -1e12, 0}, Vec3{0, 0, 1e300}}) {
+    Pose p = probe.neutral_pose();
+    p.translation = far;
+    EXPECT_EQ(intermolecular_energy(grid, probe, probe.conformation(p)), 0.0);
+    int visited = 0;
+    grid.for_neighbors(far, [&](int) { ++visited; });
+    EXPECT_EQ(visited, 0);
+  }
+  // A far atom adds exactly nothing to a near atom's energy.
+  const Vec3 near{2.0, 0.0, 0.0};
+  const std::vector<Vec3> both = {near, {1e12, 1e12, 1e12}};
+  const LigandAtom carbon = probe.atoms()[0];
+  EXPECT_EQ(bits(intermolecular_energy(grid, probe, both)),
+            bits(accumulate_point_energy(grid, near, carbon, 0.0)));
+}
+
+TEST(VinaScore, NonFiniteCoordinateGivesNaN) {
+  const Structure rec = test_receptor();
+  const ReceptorGrid grid(type_receptor(rec), 8.0);
+  const Ligand probe = two_atom_probe();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const Vec3& bad : {Vec3{nan, 0, 0}, Vec3{0, nan, 0}, Vec3{0, 0, -inf}}) {
+    const std::vector<Vec3> coords = {{1.0, 0.0, 0.0}, bad};
+    EXPECT_TRUE(std::isnan(intermolecular_energy(grid, probe, coords)));
+    int visited = 0;
+    grid.for_neighbors(bad, [&](int) { ++visited; });
+    EXPECT_EQ(visited, 0);
   }
 }
 
