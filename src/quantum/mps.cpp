@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "common/check.h"
 #include "common/error.h"
 #include "common/fault.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace qdb {
 
@@ -114,6 +117,41 @@ Svd svd_columns(const std::vector<cplx>& a_rowmajor, int m, int n) {
           std::conj(v[static_cast<std::size_t>(j)][static_cast<std::size_t>(r)]);
   }
   return out;
+}
+
+/// Byte budget of one sample() call's prefix trie (node records plus
+/// vector arena).  Past it, shots finish their walk without memoising.
+constexpr std::size_t kTrieMaxBytes = std::size_t{4} << 20;
+
+/// One conditional-sampling step at a site with tensor `a` (chi_l x 2 x
+/// chi_r): from the prefix vector `vec` (chi_l) write the two candidate
+/// vectors v_p(r) = sum_l vec(l) A(l,p,r) to out[p * chi_r + r] and their
+/// unnormalised probabilities prob[p] = v_p^dag right v_p.
+void conditional_step(const cplx* a, int chi_l, int chi_r, const cplx* right,
+                      const cplx* vec, cplx* out, double prob[2]) {
+  const auto cr = static_cast<std::size_t>(chi_r);
+  for (int p = 0; p < 2; ++p) {
+    cplx* v = out + static_cast<std::size_t>(p) * cr;
+    std::fill(v, v + cr, cplx{});
+    for (int l = 0; l < chi_l; ++l) {
+      if (vec[static_cast<std::size_t>(l)] == cplx{}) continue;
+      for (std::size_t r = 0; r < cr; ++r)
+        v[r] += vec[static_cast<std::size_t>(l)] *
+                a[(static_cast<std::size_t>(l) * 2 + static_cast<std::size_t>(p)) * cr + r];
+    }
+    cplx acc{};
+    for (std::size_t r = 0; r < cr; ++r)
+      for (std::size_t rp = 0; rp < cr; ++rp)
+        acc += std::conj(v[r]) * right[r * cr + rp] * v[rp];
+    prob[p] = std::max(acc.real(), 0.0);
+  }
+}
+
+/// The measured bit given its two unnormalised probabilities: one uniform
+/// draw, none when both vanish.
+int draw_bit(const double prob[2], Rng& rng) {
+  const double total = prob[0] + prob[1];
+  return (total <= 0.0) ? 0 : (rng.uniform() * total < prob[0] ? 0 : 1);
 }
 
 }  // namespace
@@ -264,11 +302,13 @@ void MpsSimulator::swap_adjacent(int low) {
 }
 
 void MpsSimulator::apply(const Gate& g) {
-  QDB_REQUIRE(g.q0 < num_qubits_ && g.q1 < num_qubits_, "gate qubit out of range");
+  QDB_REQUIRE(g.q0 >= 0 && g.q0 < num_qubits_, "gate qubit out of range");
   if (!is_two_qubit(g.kind)) {
     apply_1q(gate_matrix_1q(g.kind, g.angle), g.q0);
     return;
   }
+  QDB_REQUIRE(g.q1 >= 0 && g.q1 < num_qubits_, "gate qubit out of range");
+  QDB_REQUIRE(g.q0 != g.q1, "two-qubit gate needs distinct qubits");
   int a = g.q0;
   int b = g.q1;
   // Route the first operand next to the second with exact adjacent swaps.
@@ -284,6 +324,7 @@ void MpsSimulator::apply(const Gate& g) {
 }
 
 void MpsSimulator::apply(const Circuit& c) {
+  QDB_SPAN("mps.apply");
   QDB_REQUIRE(c.num_qubits() <= num_qubits_, "circuit wider than mps");
   fault_site("engine.mps.apply");  // deterministic fault injection (ISSUE 2)
   for (const Gate& g : c.gates()) apply(g);
@@ -377,43 +418,86 @@ void MpsSimulator::normalize() {
 }
 
 std::vector<std::uint64_t> MpsSimulator::sample(std::size_t shots, Rng& rng) const {
+  QDB_SPAN("mps.sample");
+  static obs::Counter& step_count = obs::counter("mps.sample.steps");
+  static obs::Counter& expansion_count = obs::counter("mps.sample.expansions");
   const auto env = right_environments();
   std::vector<std::uint64_t> out(shots);
+  if (shots == 0) return out;
 
+  // Prefix trie over the bits drawn so far (see the class comment).  Node i
+  // stands for one distinct prefix x_0..x_q; its record holds the two
+  // conditional probabilities of x_q and an arena offset where the two
+  // child prefix vectors v_0, v_1 (chi_r of site q each) are stored back to
+  // back.  arena[0] is the root's input vector {1}.
+  struct TrieNode {
+    double prob[2];
+    std::uint32_t kids;           // arena offset of v_0 (v_1 follows)
+    std::int32_t child[2];        // node of prefix + bit, -1 until expanded
+  };
+  static_assert(kTrieMaxBytes / sizeof(cplx) < std::numeric_limits<std::int32_t>::max());
+  std::vector<TrieNode> nodes;
+  std::vector<cplx> arena{cplx{1.0, 0.0}};
+  auto chi_r = [&](int q) {
+    return static_cast<std::size_t>(sites_[static_cast<std::size_t>(q)].chi_r);
+  };
+  // Expand the prefix at depth q whose input vector sits at arena[in].
+  // Returns -1 (and expands nothing) once the trie would outgrow its cap.
+  auto expand = [&](int q, std::size_t in) -> std::int32_t {
+    const Site& s = sites_[static_cast<std::size_t>(q)];
+    const std::size_t kids = arena.size();
+    if ((nodes.size() + 1) * sizeof(TrieNode) + (kids + 2 * chi_r(q)) * sizeof(cplx) >
+        kTrieMaxBytes)
+      return -1;
+    arena.resize(kids + 2 * chi_r(q));
+    TrieNode node{{0.0, 0.0}, static_cast<std::uint32_t>(kids), {-1, -1}};
+    conditional_step(s.data.data(), s.chi_l, s.chi_r,
+                     env[static_cast<std::size_t>(q) + 1].data(), arena.data() + in,
+                     arena.data() + kids, node.prob);
+    nodes.push_back(node);
+    return static_cast<std::int32_t>(nodes.size() - 1);
+  };
+  expand(0, 0);
+
+  // Past the cap a shot finishes with the same step on ping-pong buffers.
+  const std::size_t walk_len = 2 * static_cast<std::size_t>(max_bond_reached());
+  std::vector<cplx> walk[2] = {std::vector<cplx>(walk_len), std::vector<cplx>(walk_len)};
   for (std::size_t shot = 0; shot < shots; ++shot) {
-    std::vector<cplx> vec{1.0};
     std::uint64_t x = 0;
+    std::int32_t node = 0;
     for (int q = 0; q < num_qubits_; ++q) {
-      const Site& s = sites_[static_cast<std::size_t>(q)];
-      const auto& right = env[static_cast<std::size_t>(q) + 1];
-      double prob[2];
-      std::vector<cplx> cand[2];
-      for (int p = 0; p < 2; ++p) {
-        // v(r) = sum_l vec(l) A(l,p,r)
-        std::vector<cplx> v(static_cast<std::size_t>(s.chi_r), cplx{});
-        for (int l = 0; l < s.chi_l; ++l) {
-          if (vec[static_cast<std::size_t>(l)] == cplx{}) continue;
-          for (int r = 0; r < s.chi_r; ++r)
-            v[static_cast<std::size_t>(r)] += vec[static_cast<std::size_t>(l)] *
-                s.data[(static_cast<std::size_t>(l) * 2 + static_cast<std::size_t>(p)) * static_cast<std::size_t>(s.chi_r) + static_cast<std::size_t>(r)];
-        }
-        // p = v^dag right v
-        cplx acc{};
-        for (int r = 0; r < s.chi_r; ++r)
-          for (int rp = 0; rp < s.chi_r; ++rp)
-            acc += std::conj(v[static_cast<std::size_t>(r)]) *
-                   right[static_cast<std::size_t>(r) * static_cast<std::size_t>(s.chi_r) + static_cast<std::size_t>(rp)] *
-                   v[static_cast<std::size_t>(rp)];
-        prob[p] = std::max(acc.real(), 0.0);
-        cand[p] = std::move(v);
-      }
-      const double total = prob[0] + prob[1];
-      const int bit = (total <= 0.0) ? 0 : (rng.uniform() * total < prob[0] ? 0 : 1);
+      const int bit = draw_bit(nodes[static_cast<std::size_t>(node)].prob, rng);
       if (bit) x |= std::uint64_t{1} << q;
-      vec = std::move(cand[bit]);
+      if (q + 1 == num_qubits_) break;
+      const std::size_t in = nodes[static_cast<std::size_t>(node)].kids +
+                             static_cast<std::size_t>(bit) * chi_r(q);
+      std::int32_t next = nodes[static_cast<std::size_t>(node)].child[bit];
+      if (next < 0) {
+        next = expand(q + 1, in);
+        if (next >= 0) {
+          nodes[static_cast<std::size_t>(node)].child[bit] = next;
+        } else {
+          std::copy_n(arena.begin() + static_cast<std::ptrdiff_t>(in), chi_r(q), walk[0].begin());
+          const cplx* vec = walk[0].data();
+          for (int w = q + 1, buf = 1; w < num_qubits_; ++w, buf ^= 1) {
+            const Site& s = sites_[static_cast<std::size_t>(w)];
+            double prob[2];
+            conditional_step(s.data.data(), s.chi_l, s.chi_r,
+                             env[static_cast<std::size_t>(w) + 1].data(), vec,
+                             walk[buf].data(), prob);
+            const int b = draw_bit(prob, rng);
+            if (b) x |= std::uint64_t{1} << w;
+            vec = walk[buf].data() + static_cast<std::size_t>(b) * chi_r(w);
+          }
+          break;
+        }
+      }
+      node = next;
     }
     out[shot] = x;
   }
+  step_count.add(static_cast<std::uint64_t>(shots) * static_cast<std::uint64_t>(num_qubits_));
+  expansion_count.add(nodes.size());
   return out;
 }
 

@@ -10,6 +10,22 @@
 // routed with exact adjacent SWAP applications.  Truncation keeps at most
 // `max_bond` singular values per bond and drops values below
 // `trunc_tol * s_max`; the accumulated discarded weight is tracked.
+//
+// sample() draws shots by sequential conditional sampling, qubit 0 first.
+// Shots that share a bit prefix share the conditional vector and the two
+// probabilities of the next bit, so one call builds a prefix trie: a node
+// per distinct prefix the shots reach, expanded on first visit (the
+// contraction v_p = vec . A(:,p,:) and p_p = v_p^dag env v_p, both bits)
+// and only walked afterwards.  Expansion runs the same loops in the same
+// order as a per-shot walk would, so the trie changes no bit of the result.
+// The RNG stream contract is one rng.uniform() per qubit per shot, none
+// when both probabilities vanish, in shot-major then qubit order — so the
+// shots, and every draw the caller makes afterwards, are what the plain
+// walk would give.  Child vectors live in one arena per call; past a fixed
+// byte budget (a few MiB) the trie stops growing and a shot leaving it
+// finishes with the same per-qubit step on scratch buffers.  sample() keeps
+// no state between calls, so one simulator may be sampled from many
+// threads at once.
 #pragma once
 
 #include <complex>
@@ -52,7 +68,8 @@ class MpsSimulator {
   /// Squared norm of the state (1.0 up to truncation).
   double norm2() const;
 
-  /// Draw `shots` measurement outcomes by sequential conditional sampling.
+  /// Draw `shots` measurement outcomes by sequential conditional sampling
+  /// (prefix-memoised; see the class comment).
   std::vector<std::uint64_t> sample(std::size_t shots, Rng& rng) const;
 
   /// Monte-Carlo estimate of <psi| f |psi> for a diagonal operator using
@@ -61,6 +78,10 @@ class MpsSimulator {
                                       std::size_t shots, Rng& rng) const;
 
  private:
+  /// Read access to the site tensors for the per-shot sampling oracle in
+  /// tests/test_quantum.cpp.
+  friend struct MpsSamplingOracle;
+
   struct Site {
     // Row-major tensor: value(l, p, r) = data[(l * 2 + p) * chi_r + r].
     std::vector<cplx> data;

@@ -5,12 +5,15 @@
 
 #include <cmath>
 #include <map>
+#include <set>
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "obs/metrics.h"
 #include "quantum/ansatz.h"
 #include "quantum/circuit.h"
 #include "quantum/gate.h"
+#include "quantum/kernels.h"
 #include "quantum/mps.h"
 #include "quantum/noise.h"
 #include "quantum/statevector.h"
@@ -341,6 +344,156 @@ TEST(Mps, ExpectationSampledConvergesToDense) {
   Rng rng(31);
   const double est = mps.expectation_diagonal_sampled(f, 20000, rng);
   EXPECT_NEAR(est, exact, 0.06);
+}
+
+TEST(Mps, ApplyRejectsMalformedGates) {
+  const int nq = 4;
+  MpsSimulator mps(nq);
+  EXPECT_THROW(mps.apply(Gate::one(GateKind::H, -1)), Error);
+  EXPECT_THROW(mps.apply(Gate::one(GateKind::H, nq)), Error);
+  EXPECT_THROW(mps.apply(Gate::two(GateKind::CX, -1, 0)), Error);
+  EXPECT_THROW(mps.apply(Gate::two(GateKind::CX, 0, -1)), Error);
+  EXPECT_THROW(mps.apply(Gate::two(GateKind::CX, 0, nq)), Error);
+  EXPECT_THROW(mps.apply(Gate::two(GateKind::CX, nq - 1, nq - 1)), Error);
+  EXPECT_THROW(mps.apply(Gate::two(GateKind::CX, 1, 1)), Error);
+  // A rejected gate leaves the state untouched.
+  EXPECT_EQ(mps.amplitude(0), cplx(1.0, 0.0));
+  EXPECT_EQ(mps.max_bond_reached(), 1);
+}
+
+/// Seeded EfficientSU2 (reps 2) circuit with one Eagle noise trajectory;
+/// `scale` bounds the random angles, and so the entanglement.
+Circuit noisy_ansatz(int nq, std::uint64_t seed, double scale) {
+  const EfficientSU2 ansatz(nq, 2);
+  Rng rng(seed);
+  const auto params = ansatz.initial_point(rng, scale);
+  return noise_trajectory(ansatz.build(params), NoiseModel::eagle_r3(), rng);
+}
+
+}  // namespace
+
+/// The per-shot conditional sampling walk that MpsSimulator::sample ran
+/// before it memoised prefixes, kept verbatim as the bit-for-bit oracle.
+struct MpsSamplingOracle {
+  static std::vector<std::uint64_t> sample(const MpsSimulator& m, std::size_t shots, Rng& rng) {
+    const auto env = m.right_environments();
+    std::vector<std::uint64_t> out(shots);
+    for (std::size_t shot = 0; shot < shots; ++shot) {
+      std::vector<cplx> vec{1.0};
+      std::uint64_t x = 0;
+      for (int q = 0; q < m.num_qubits_; ++q) {
+        const MpsSimulator::Site& s = m.sites_[static_cast<std::size_t>(q)];
+        const auto& right = env[static_cast<std::size_t>(q) + 1];
+        double prob[2];
+        std::vector<cplx> cand[2];
+        for (int p = 0; p < 2; ++p) {
+          std::vector<cplx> v(static_cast<std::size_t>(s.chi_r), cplx{});
+          for (int l = 0; l < s.chi_l; ++l) {
+            if (vec[static_cast<std::size_t>(l)] == cplx{}) continue;
+            for (int r = 0; r < s.chi_r; ++r)
+              v[static_cast<std::size_t>(r)] += vec[static_cast<std::size_t>(l)] *
+                  s.data[(static_cast<std::size_t>(l) * 2 + static_cast<std::size_t>(p)) * static_cast<std::size_t>(s.chi_r) + static_cast<std::size_t>(r)];
+          }
+          cplx acc{};
+          for (int r = 0; r < s.chi_r; ++r)
+            for (int rp = 0; rp < s.chi_r; ++rp)
+              acc += std::conj(v[static_cast<std::size_t>(r)]) *
+                     right[static_cast<std::size_t>(r) * static_cast<std::size_t>(s.chi_r) + static_cast<std::size_t>(rp)] *
+                     v[static_cast<std::size_t>(rp)];
+          prob[p] = std::max(acc.real(), 0.0);
+          cand[p] = std::move(v);
+        }
+        const double total = prob[0] + prob[1];
+        const int bit = (total <= 0.0) ? 0 : (rng.uniform() * total < prob[0] ? 0 : 1);
+        if (bit) x |= std::uint64_t{1} << q;
+        vec = std::move(cand[bit]);
+      }
+      out[shot] = x;
+    }
+    return out;
+  }
+};
+
+namespace {
+
+/// Sample the same state through the simulator and the oracle from equal
+/// seeds: the shots and the stream position afterwards must agree exactly.
+void expect_sampling_matches_oracle(const MpsSimulator& mps, std::size_t shots,
+                                    std::uint64_t seed) {
+  Rng fast(seed), slow(seed);
+  const auto got = mps.sample(shots, fast);
+  const auto want = MpsSamplingOracle::sample(mps, shots, slow);
+  EXPECT_EQ(got, want) << "shots " << shots;
+  EXPECT_EQ(fast(), slow()) << "rng stream shifted after " << shots << " shots";
+}
+
+TEST(Mps, MemoisedSamplingMatchesPerShotWalkBitForBit) {
+  for (int nq : {16, 22}) {
+    for (int bond : {2, 64}) {
+      MpsSimulator mps(nq, bond);
+      mps.apply(noisy_ansatz(nq, 40 + static_cast<std::uint64_t>(nq), 1.0));
+      SCOPED_TRACE("nq " + std::to_string(nq) + " max_bond " + std::to_string(bond));
+      for (std::size_t shots : {std::size_t{1}, std::size_t{128}, std::size_t{1500}})
+        expect_sampling_matches_oracle(mps, shots, 7 + shots);
+    }
+  }
+
+  // A near-uniform entangled state over 22 qubits (bond 2) reaches a new
+  // prefix at almost every qubit of every shot, so 20,000 shots outgrow the
+  // trie's byte cap and the remaining shots finish outside it.
+  const int nq = 22;
+  Circuit c(nq);
+  Rng angles(5);
+  for (int q = 0; q < nq; ++q) c.ry(angles.uniform(1.2, 1.9), q);
+  for (int q = 0; q + 1 < nq; ++q) c.cx(q, q + 1);
+  MpsSimulator mps(nq);
+  mps.apply(c);
+  obs::Counter& steps = obs::counter("mps.sample.steps");
+  obs::Counter& expansions = obs::counter("mps.sample.expansions");
+  const std::uint64_t steps0 = steps.value(), expansions0 = expansions.value();
+  const std::size_t shots = 20000;
+  Rng rng(99);
+  const auto xs = mps.sample(shots, rng);
+  EXPECT_EQ(steps.value() - steps0, shots * static_cast<std::uint64_t>(nq));
+  // One trie node per distinct prefix of length 0..nq-1 the shots reach.
+  std::set<std::pair<int, std::uint64_t>> prefixes;
+  for (std::uint64_t x : xs)
+    for (int q = 0; q < nq; ++q) prefixes.emplace(q, x & ((std::uint64_t{1} << q) - 1));
+  EXPECT_LT(expansions.value() - expansions0, prefixes.size()) << "memo cap never reached";
+  expect_sampling_matches_oracle(mps, shots, 99);
+}
+
+TEST(Mps, MatchesFusedEngineWithinTruncationWeight) {
+  EngineOptions opt;
+  opt.use_tuner = false;
+  for (int nq : {10, 13, 16}) {
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+      const Circuit c = noisy_ansatz(nq, seed, 0.5);
+      FusedEngine fused(nq, Precision::f64, opt);
+      fused.apply(c);
+      const auto ref = fused.amplitudes();
+      for (int bond : {64, 1, 2, 3}) {
+        SCOPED_TRACE("nq " + std::to_string(nq) + " seed " + std::to_string(seed) +
+                     " max_bond " + std::to_string(bond));
+        MpsSimulator mps(nq, bond);
+        mps.apply(c);
+        cplx overlap{};
+        double mps_norm2 = 0.0, max_err = 0.0;
+        for (std::uint64_t x = 0; x < ref.size(); ++x) {
+          const cplx a = mps.amplitude(x);
+          overlap += std::conj(ref[x]) * a;
+          mps_norm2 += std::norm(a);
+          max_err = std::max(max_err, std::abs(a - ref[x]));
+        }
+        if (bond == 64) {
+          EXPECT_EQ(mps.truncation_weight(), 0.0);
+          EXPECT_LE(max_err, 1e-12);
+        } else {
+          EXPECT_LE(1.0 - std::norm(overlap) / mps_norm2, mps.truncation_weight());
+        }
+      }
+    }
+  }
 }
 
 TEST(Noise, IdealModelIsIdentity) {
