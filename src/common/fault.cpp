@@ -1,6 +1,8 @@
 #include "common/fault.h"
 
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <unordered_map>
 
 #include "common/error.h"
@@ -174,10 +176,10 @@ bool FaultScope::active() { return tl_scope.active; }
 std::uint64_t fault_seed_from_env(std::uint64_t fallback) {
   const char* env = std::getenv("QDB_FAULT_SEED");
   if (env == nullptr || *env == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(env, &end, 10);
-  if (end == env) return fallback;
-  return static_cast<std::uint64_t>(v);
+  const char* end = env + std::strlen(env);
+  std::uint64_t v = 0;
+  const auto [stop, ec] = std::from_chars(env, end, v);
+  return ec == std::errc() && stop == end ? v : fallback;
 }
 
 }  // namespace qdb

@@ -136,8 +136,8 @@ class FaultScope {
   static bool active();
 };
 
-/// Seed override from the environment: parses QDB_FAULT_SEED if set and
-/// non-empty, otherwise returns `fallback`.  Used by the CI fault sweep.
+/// Seed override from the environment: QDB_FAULT_SEED when it is a decimal
+/// integer (digits only), otherwise `fallback`.  Used by the CI fault sweep.
 std::uint64_t fault_seed_from_env(std::uint64_t fallback);
 
 }  // namespace qdb

@@ -242,8 +242,13 @@ class Parser {
   Json parse_value() {
     skip_ws();
     const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      // Bounded recursion: nested brackets fail instead of overflowing the stack.
+      if (++depth_ > kMaxDepth) fail("nesting deeper than " + std::to_string(kMaxDepth));
+      Json v = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return v;
+    }
     if (c == '"') return Json(parse_string());
     if (consume_word("true")) return Json(true);
     if (consume_word("false")) return Json(false);
@@ -353,6 +358,7 @@ class Parser {
     while (true) {
       skip_ws();
       std::string key = parse_string();
+      if (obj.contains(key)) fail("duplicate key '" + key + "'");
       skip_ws();
       expect(':');
       obj.set(std::move(key), parse_value());
@@ -363,8 +369,11 @@ class Parser {
     return obj;
   }
 
+  static constexpr int kMaxDepth = 512;
+
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -76,7 +76,9 @@ class Json {
   /// Serialise.  indent < 0 means compact single-line output.
   std::string dump(int indent = 2) const;
 
-  /// Parse a complete JSON document; throws qdb::ParseError on bad input.
+  /// Parse a complete JSON document; throws qdb::ParseError on bad input,
+  /// including a key repeated within one object and nesting deeper than
+  /// 512 arrays or objects.
   static Json parse(std::string_view text);
 
  private:

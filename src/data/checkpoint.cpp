@@ -60,6 +60,8 @@ std::uint64_t batch_options_fingerprint(const BatchOptions& o) {
   fp_field(d, "mitigation", static_cast<long long>(o.vqe.readout_mitigation));
   fp_field(d, "engine", static_cast<long long>(o.vqe.engine));
   fp_field(d, "max_truncation_weight", o.vqe.max_truncation_weight);
+  // Stage-1 precision changes which bitstrings are sampled, so results too.
+  fp_field(d, "stage1_precision", static_cast<long long>(o.vqe.stage1_precision));
   // Retry policy: backoff lands in the report, so it is result-shaping.
   fp_field(d, "max_attempts", static_cast<long long>(o.retry.max_attempts));
   fp_field(d, "backoff_initial_s", o.retry.backoff_initial_s);

@@ -4,32 +4,13 @@
 #include <string_view>
 
 #include "common/error.h"
-#include "common/strings.h"
 #include "data/checkpoint.h"
 #include "obs/trace.h"
+#include "serve/request.h"
 
 namespace qdb::orchestrate {
 
 namespace {
-
-serve::HttpResponse json_response(int status, const Json& body) {
-  serve::HttpResponse resp;
-  resp.status = status;
-  resp.body = body.dump();
-  return resp;
-}
-
-serve::HttpResponse error_response(int status, const std::string& message) {
-  Json body = Json::object();
-  body.set("error", message);
-  return json_response(status, body);
-}
-
-serve::HttpResponse method_not_allowed(const char* allow) {
-  serve::HttpResponse resp = error_response(405, std::string("use ") + allow);
-  resp.extra_headers.emplace_back("Allow", allow);
-  return resp;
-}
 
 const char* lease_state_name(LeaseGrant::State s) {
   switch (s) {
@@ -131,69 +112,67 @@ CompleteResult complete_result_from_json(const Json& doc) {
   return result;
 }
 
+namespace {
+
+using serve::Field;
+using serve::FieldType;
+
+/// The /jobs body fields: lease takes the first, heartbeat the first two,
+/// complete all three.
+constexpr Field kJobFields[] = {
+    {.key = "worker", .type = FieldType::String, .required = true},
+    {.key = "lease_token", .type = FieldType::Int, .required = true},
+    {.key = "record", .type = FieldType::Object, .required = true},
+};
+
+serve::HttpResponse route_job(Coordinator& coordinator, const serve::HttpRequest& request,
+                              const std::string& body) {
+  const std::string_view path = request.path;
+  if (path == "/jobs/status") {
+    if (request.method != "GET") return serve::method_not_allowed("GET");
+    serve::request_params(request, body, {});
+    return serve::json_response(200, coordinator.status_json());
+  }
+  if (path == "/jobs/lease") {
+    if (request.method != "POST") return serve::method_not_allowed("POST");
+    const serve::Params params =
+        serve::request_params(request, body, serve::Fields(kJobFields).first(1));
+    return serve::json_response(
+        200, lease_grant_json(coordinator.lease(*params.get<std::string>("worker"))));
+  }
+  // /jobs/{pdb_id}/heartbeat | /jobs/{pdb_id}/complete
+  const std::size_t slash = path.find('/', 6);
+  const std::string_view action =
+      slash == std::string_view::npos ? std::string_view() : path.substr(slash + 1);
+  if (slash == 6 || (action != "heartbeat" && action != "complete")) {
+    serve::not_found("no such job endpoint: " + std::string(path));
+  }
+  if (request.method != "POST") return serve::method_not_allowed("POST");
+  const std::string pdb_id(path.substr(6, slash - 6));
+  if (!coordinator.has_job(pdb_id)) serve::not_found("unknown job '" + pdb_id + "'");
+  const bool heartbeat = action == "heartbeat";
+  const serve::Params params =
+      serve::request_params(request, body, serve::Fields(kJobFields).first(heartbeat ? 2 : 3));
+  const auto token = *params.get<std::uint64_t>("lease_token");
+  if (heartbeat) {
+    const HeartbeatResult result = coordinator.heartbeat(pdb_id, token);
+    return serve::json_response(result.ok ? 200 : 409, heartbeat_result_json(result));
+  }
+  const BatchJobRecord record = serve::decode_request(
+      [&] { return batch_job_record_from_json(params.fields.at("record")); });
+  if (record.pdb_id != pdb_id) {
+    serve::bad_request("record is for '" + record.pdb_id + "', endpoint names '" + pdb_id + "'");
+  }
+  return serve::json_response(
+      200, complete_result_json(coordinator.complete(pdb_id, token, record)));
+}
+
+}  // namespace
+
 void attach_job_api(serve::DatasetServer& server, Coordinator& coordinator) {
   server.set_route("/jobs", [&coordinator](const serve::HttpRequest& request,
                                            const std::string& body) {
-    const std::string_view path = request.path;
-    try {
-      if (path == "/jobs/status") {
-        if (request.method != "GET") return method_not_allowed("GET");
-        if (!request.query.empty()) {
-          return error_response(400, "status takes no parameters");
-        }
-        return json_response(200, coordinator.status_json());
-      }
-      if (path == "/jobs/lease") {
-        if (request.method != "POST") return method_not_allowed("POST");
-        const Json doc = Json::parse(body);
-        const std::string worker = doc.at("worker").as_string();
-        return json_response(200, lease_grant_json(coordinator.lease(worker)));
-      }
-      // /jobs/{pdb_id}/heartbeat | /jobs/{pdb_id}/complete
-      if (starts_with(path, "/jobs/")) {
-        const std::string_view rest = path.substr(6);
-        const std::size_t slash = rest.find('/');
-        if (slash != std::string_view::npos && slash > 0) {
-          const std::string pdb_id(rest.substr(0, slash));
-          const std::string_view action = rest.substr(slash + 1);
-          if (action == "heartbeat") {
-            if (request.method != "POST") return method_not_allowed("POST");
-            const Json doc = Json::parse(body);
-            const auto token =
-                static_cast<std::uint64_t>(doc.at("lease_token").as_int());
-            const HeartbeatResult result = coordinator.heartbeat(pdb_id, token);
-            return json_response(result.ok ? 200 : 409,
-                                 heartbeat_result_json(result));
-          }
-          if (action == "complete") {
-            if (request.method != "POST") return method_not_allowed("POST");
-            const Json doc = Json::parse(body);
-            const auto token =
-                static_cast<std::uint64_t>(doc.at("lease_token").as_int());
-            const BatchJobRecord record =
-                batch_job_record_from_json(doc.at("record"));
-            try {
-              const CompleteResult result =
-                  coordinator.complete(pdb_id, token, record);
-              return json_response(200, complete_result_json(result));
-            } catch (const Error& ex) {
-              // Unknown job / mismatched record identity.
-              const std::string what = ex.what();
-              return error_response(
-                  what.find("unknown job") != std::string::npos ? 404 : 400,
-                  what);
-            }
-          }
-        }
-      }
-      return error_response(404, "no such job endpoint: " + std::string(path));
-    } catch (const ParseError& ex) {
-      return error_response(400, std::string("bad request body: ") + ex.what());
-    } catch (const IoError& ex) {
-      return error_response(400, std::string("bad request body: ") + ex.what());
-    } catch (const Error& ex) {
-      return error_response(400, ex.what());
-    }
+    return route_job(coordinator, request, body);
   });
 }
 

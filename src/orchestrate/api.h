@@ -16,8 +16,8 @@
 //   GET  /jobs/status
 //     200 <Coordinator::status_json()>
 //
-// Malformed JSON or missing fields → 400; unknown pdb_id → 404; wrong
-// method → 405.  The serialization helpers are exposed so the wire format
+// Statuses follow serve/request.h; a failed store write is a 500 that leaves
+// the job leased.  The serialization helpers are exposed so the wire format
 // round-trips under test without a socket.
 #pragma once
 

@@ -356,6 +356,11 @@ LeaseGrant Coordinator::lease(const std::string& worker_id) {
   return grant;
 }
 
+bool Coordinator::has_job(const std::string& pdb_id) const {
+  const MutexLock lock(mu_);
+  return by_id_.count(pdb_id) != 0;
+}
+
 HeartbeatResult Coordinator::heartbeat(const std::string& pdb_id,
                                        std::uint64_t token) {
   const MutexLock lock(mu_);

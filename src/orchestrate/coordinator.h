@@ -152,6 +152,9 @@ class Coordinator {
   /// polling worker drives the sweep.
   LeaseGrant lease(const std::string& worker_id) QDB_EXCLUDES(mu_);
 
+  /// True when `pdb_id` names one of this coordinator's jobs.
+  bool has_job(const std::string& pdb_id) const QDB_EXCLUDES(mu_);
+
   /// Extend the lease deadline by lease_ttl_ms from now.  Fails (ok=false)
   /// for unknown jobs, jobs not currently leased, or a stale token.
   HeartbeatResult heartbeat(const std::string& pdb_id, std::uint64_t token)

@@ -284,12 +284,12 @@ WorkerStats run_worker(const WorkerOptions& options) {
         const serve::HttpClientResponse resp =
             post_with_retry(client, options, clock, complete_target,
                             complete_payload);
-        if (resp.status == 503) {
-          // Same doctrine as the lease path: the shutdown 503 is transport
-          // loss, not a protocol rejection.  The IoError handler below
-          // backs off and retries; if the coordinator stays down the
-          // completion is abandoned (the first POST committed it anyway).
-          throw IoError("coordinator shutting down: HTTP 503");
+        if (resp.status >= 500) {
+          // A 5xx is the coordinator failing, not a protocol rejection: a
+          // shutdown 503, or a 500 that left the job leased.  The IoError
+          // handler below backs off and retries; if it keeps failing, the
+          // completion is abandoned and the lease expires.
+          throw IoError("coordinator failed: HTTP " + std::to_string(resp.status));
         }
         if (resp.status != 200) {
           throw Error("completion rejected: HTTP " +
@@ -317,8 +317,8 @@ WorkerStats run_worker(const WorkerOptions& options) {
       }
     }
     if (!acked) {
-      // The record reached the coordinator (first POST commits it) even if
-      // every ack was lost; a replacement attempt would just be a duplicate.
+      // Every ack was lost after a commit (a replacement would be a
+      // duplicate), or the coordinator kept failing and the lease expires.
       ++stats.completions_abandoned;
       obs::counter("orchestrate.worker.completions_abandoned").add();
     }

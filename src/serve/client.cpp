@@ -1,7 +1,5 @@
 #include "serve/client.h"
 
-#include <cstdlib>
-
 #include "common/error.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -114,12 +112,9 @@ HttpClientResponse HttpClient::request_once(
   if (response.status != 204 && response.status != 304) {
     const std::string* len = response.header("content-length");
     if (len == nullptr) throw ParseError("response lacks Content-Length");
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(len->c_str(), &end, 10);
-    if (end == nullptr || *end != '\0') {
+    if (!parse_content_length(*len, &body_size)) {
       throw ParseError("bad Content-Length '" + *len + "'");
     }
-    body_size = static_cast<std::size_t>(v);
   }
 
   while (buffer_.size() < body_size) {

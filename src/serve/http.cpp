@@ -91,6 +91,17 @@ bool parse_request_head(std::string_view head, HttpRequest* out) {
   return parse_header_lines(head.substr(eol + 1), &out->headers);
 }
 
+bool parse_content_length(std::string_view value, std::size_t* out) {
+  if (value.empty() || value.size() > 18) return false;
+  std::size_t v = 0;
+  for (const char c : value) {
+    if (c < '0' || c > '9') return false;
+    v = v * 10 + static_cast<std::size_t>(c - '0');
+  }
+  *out = v;
+  return true;
+}
+
 const char* status_reason(int status) {
   switch (status) {
     case 200: return "OK";

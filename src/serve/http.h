@@ -44,6 +44,9 @@ bool parse_request_head(std::string_view head, HttpRequest* out);
 void split_target(std::string_view target, std::string* path,
                   std::vector<std::pair<std::string, std::string>>* query);
 
+/// Strict Content-Length parsing: at most 18 digits and nothing else.
+bool parse_content_length(std::string_view value, std::size_t* out);
+
 struct HttpResponse {
   int status = 200;
   std::string content_type = "application/json";

@@ -1,97 +1,28 @@
 #include "serve/screen_api.h"
 
+#include <algorithm>
 #include <string>
-#include <string_view>
 
-#include "common/error.h"
-#include "common/rng.h"
 #include "common/strings.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "serve/request.h"
 #include "structure/pdb.h"
 
 namespace qdb::serve {
-
-namespace {
-
-HttpResponse json_response(int status, const Json& body) {
-  HttpResponse resp;
-  resp.status = status;
-  resp.body = body.dump();
-  return resp;
-}
-
-HttpResponse error_response(int status, const std::string& message) {
-  Json body = Json::object();
-  body.set("error", message);
-  return json_response(status, body);
-}
-
-HttpResponse method_not_allowed(const char* allow) {
-  HttpResponse resp = error_response(405, std::string("use ") + allow);
-  resp.extra_headers.emplace_back("Allow", allow);
-  return resp;
-}
-
-/// 400-throwing strict readers: every message names the offending key.
-struct BadRequest {
-  std::string message;
-};
-
-std::int64_t int_param(const Json& doc, const char* key, std::int64_t lo,
-                       std::int64_t hi, std::int64_t fallback) {
-  if (!doc.contains(key)) return fallback;
-  const Json& v = doc.at(key);
-  if (v.type() != Json::Type::Int) {
-    throw BadRequest{std::string(key) + " must be an integer"};
-  }
-  const std::int64_t i = v.as_int();
-  if (i < lo || i > hi) {
-    throw BadRequest{std::string(key) + " must be in [" + std::to_string(lo) + ", " +
-                     std::to_string(hi) + "]"};
-  }
-  return i;
-}
-
-double fraction_param(const Json& doc, const char* key, double fallback) {
-  if (!doc.contains(key)) return fallback;
-  const Json& v = doc.at(key);
-  if (!v.is_number()) throw BadRequest{std::string(key) + " must be a number"};
-  const double f = v.as_double();
-  if (!(f > 0.0 && f <= 1.0)) {
-    throw BadRequest{std::string(key) + " must be in (0, 1]"};
-  }
-  return f;
-}
-
-bool bool_param(const Json& doc, const char* key, bool fallback) {
-  if (!doc.contains(key)) return fallback;
-  const Json& v = doc.at(key);
-  if (v.type() != Json::Type::Bool) {
-    throw BadRequest{std::string(key) + " must be a boolean"};
-  }
-  return v.as_bool();
-}
-
-constexpr const char* kAllowedKeys[] = {
-    "pdb_id",          "library_seed",  "library_size", "top_k",
-    "stage1_keep",     "poses_per_ligand", "poses_rescored", "ingest",
-};
-
-}  // namespace
 
 ScreenService::ScreenService(const store::Store& store, ScreenServiceOptions options)
     : store_(store), options_(options) {}
 
 std::shared_ptr<const screen::PreparedReceptor> ScreenService::prepared_for(
-    const std::string& pdb_id, const screen::ScreenOptions& options,
+    const store::EntryRecord& entry, const screen::ScreenOptions& options,
     std::string* grid_hash) {
   static obs::Counter& grids_built = obs::counter("screen.api.grids_built");
   static obs::Counter& cache_hits = obs::counter("screen.api.grid_cache_hits");
 
   // Cache key: receptor + everything that shapes the grid bytes.
   const std::string key =
-      pdb_id + format("|%.17g|%.17g", options.grid_spacing, options.grid_padding);
+      entry.pdb_id + format("|%.17g|%.17g", options.grid_spacing, options.grid_padding);
   {
     const MutexLock lock(mu_);
     const auto it = cache_.find(key);
@@ -105,10 +36,8 @@ std::shared_ptr<const screen::PreparedReceptor> ScreenService::prepared_for(
   // Build outside the lock: grids take real time and requests for other
   // receptors must not queue behind the build.  A racing duplicate build is
   // harmless — both produce identical bytes and put_blob dedups.
-  const store::EntryRecord* entry = store_.find(pdb_id);
-  if (entry == nullptr) throw IoError("no entry '" + pdb_id + "' in the store");
   const std::shared_ptr<const std::string> pdb =
-      store_.read_artifact(*entry, store::Artifact::Structure);
+      store_.read_artifact(entry, store::Artifact::Structure);
   const Structure receptor = parse_pdb(*pdb);
   auto prepared = std::make_shared<const screen::PreparedReceptor>(
       screen::prepare_receptor(receptor, options));
@@ -129,82 +58,65 @@ HttpResponse ScreenService::handle(const HttpRequest& request,
                                    const std::string& body) {
   static obs::Counter& requests = obs::counter("screen.api.requests");
   static obs::Counter& rejected = obs::counter("screen.api.rejected");
-  static obs::Counter& ingests = obs::counter("screen.api.report_ingests");
   QDB_SPAN("screen.api.request");
   requests.add();
+  HttpResponse resp = respond([&] { return screen(request, body); });
+  if (resp.status >= 400) rejected.add();
+  return resp;
+}
 
-  if (request.path != "/screen") {
-    rejected.add();
-    return error_response(404, "no such screen endpoint: " + request.path);
+HttpResponse ScreenService::screen(const HttpRequest& request, const std::string& body) {
+  static obs::Counter& ingests = obs::counter("screen.api.report_ingests");
+  if (request.path != "/screen") not_found("no such screen endpoint: " + request.path);
+  if (request.method != "POST") return method_not_allowed("POST");
+  const auto count = [](std::string_view key, double cap) {
+    return Field{.key = key, .type = FieldType::Int, .min = 1, .max = cap};
+  };
+  const Field fields[] = {
+      {.key = "pdb_id", .type = FieldType::String, .required = true},
+      {.key = "library_seed", .type = FieldType::Int, .min = 0, .max = 0x1p62},
+      count("library_size", static_cast<double>(options_.max_library_size)),
+      count("top_k", options_.max_top_k),
+      {.key = "stage1_keep", .type = FieldType::Number, .min = 0, .max = 1, .min_open = true},
+      count("poses_per_ligand", options_.max_poses_per_ligand),
+      count("poses_rescored", options_.max_poses_rescored),
+      {.key = "ingest", .type = FieldType::Bool},
+  };
+  const Params params = request_params(request, body, fields);
+  const std::string pdb_id = *params.get<std::string>("pdb_id");
+  const store::EntryRecord* entry = store_.find(pdb_id);
+  if (entry == nullptr) not_found("no entry '" + pdb_id + "' in the store");
+
+  // An omitted option keeps its ScreenOptions default, capped like a sent one.
+  screen::ScreenOptions opt;
+  opt.library.seed = params.get<std::uint64_t>("library_seed").value_or(opt.library.seed);
+  opt.library.size = params.get<std::uint64_t>("library_size")
+                         .value_or(std::min(opt.library.size, options_.max_library_size));
+  opt.top_k = params.get<int>("top_k").value_or(std::min(opt.top_k, options_.max_top_k));
+  opt.stage1_keep = params.get<double>("stage1_keep").value_or(opt.stage1_keep);
+  opt.poses_per_ligand = params.get<int>("poses_per_ligand")
+                             .value_or(std::min(opt.poses_per_ligand,
+                                                options_.max_poses_per_ligand));
+  opt.poses_rescored = params.get<int>("poses_rescored")
+                           .value_or(std::min(opt.poses_rescored, options_.max_poses_rescored));
+  opt.threads = options_.threads;
+
+  std::string grid_hash;
+  const std::shared_ptr<const screen::PreparedReceptor> prepared =
+      prepared_for(*entry, opt, &grid_hash);
+  const screen::ScreenReport report = run_screen(*prepared, pdb_id, opt);
+  const std::string report_bytes = screen::serialize_report(report);
+
+  // The response IS the canonical report (parse of its exact bytes), plus
+  // the serving metadata — so what a client sees and what the store dedups
+  // are provably the same document.
+  Json resp = Json::parse(report_bytes);
+  resp.set("grid_hash", grid_hash);
+  if (params.get<bool>("ingest").value_or(false)) {
+    resp.set("report_hash", store_.put_blob(report_bytes));
+    ingests.add();
   }
-  if (request.method != "POST") {
-    rejected.add();
-    return method_not_allowed("POST");
-  }
-  if (!request.query.empty()) {
-    rejected.add();
-    return error_response(400, "screen takes a JSON body, not query parameters");
-  }
-
-  try {
-    const Json doc = Json::parse(body);
-    if (!doc.is_object()) throw BadRequest{"body must be a JSON object"};
-    for (const auto& [key, value] : doc.as_object()) {
-      bool known = false;
-      for (const char* allowed : kAllowedKeys) known = known || key == allowed;
-      if (!known) throw BadRequest{"unknown parameter '" + key + "'"};
-    }
-    if (!doc.contains("pdb_id")) throw BadRequest{"pdb_id is required"};
-    if (!doc.at("pdb_id").is_string()) throw BadRequest{"pdb_id must be a string"};
-    const std::string pdb_id = doc.at("pdb_id").as_string();
-
-    screen::ScreenOptions opt;
-    opt.library.seed = static_cast<std::uint64_t>(int_param(
-        doc, "library_seed", 0, std::int64_t{1} << 62, 1));
-    opt.library.size = static_cast<std::uint64_t>(int_param(
-        doc, "library_size", 1, static_cast<std::int64_t>(options_.max_library_size),
-        256));
-    opt.top_k = static_cast<int>(int_param(doc, "top_k", 1, options_.max_top_k, 16));
-    opt.stage1_keep = fraction_param(doc, "stage1_keep", 0.125);
-    opt.poses_per_ligand = static_cast<int>(
-        int_param(doc, "poses_per_ligand", 1, options_.max_poses_per_ligand, 24));
-    opt.poses_rescored = static_cast<int>(
-        int_param(doc, "poses_rescored", 1, options_.max_poses_rescored, 4));
-    const bool ingest = bool_param(doc, "ingest", false);
-    opt.threads = options_.threads;
-
-    std::string grid_hash;
-    std::shared_ptr<const screen::PreparedReceptor> prepared;
-    try {
-      prepared = prepared_for(pdb_id, opt, &grid_hash);
-    } catch (const IoError& ex) {
-      rejected.add();
-      return error_response(404, ex.what());
-    }
-
-    const screen::ScreenReport report = run_screen(*prepared, pdb_id, opt);
-    const std::string report_bytes = screen::serialize_report(report);
-
-    // The response IS the canonical report (parse of its exact bytes), plus
-    // the serving metadata — so what a client sees and what the store dedups
-    // are provably the same document.
-    Json resp = Json::parse(report_bytes);
-    resp.set("grid_hash", grid_hash);
-    if (ingest) {
-      resp.set("report_hash", store_.put_blob(report_bytes));
-      ingests.add();
-    }
-    return json_response(200, resp);
-  } catch (const BadRequest& bad) {
-    rejected.add();
-    return error_response(400, bad.message);
-  } catch (const ParseError& ex) {
-    rejected.add();
-    return error_response(400, std::string("bad request body: ") + ex.what());
-  } catch (const Error& ex) {
-    rejected.add();
-    return error_response(400, ex.what());
-  }
+  return json_response(200, resp);
 }
 
 void attach_screen_api(DatasetServer& server, ScreenService& service) {

@@ -3,9 +3,8 @@
 // attach_screen_api() mounts POST /screen on a serve::DatasetServer.  The
 // request body selects a receptor entry from the store and the screening
 // options; the response is the ranked-hit report of the two-stage funnel
-// (screen/funnel.h) as JSON.  Validation is strict: unknown body keys,
-// wrong types, and out-of-range values are all 400s with a one-line reason,
-// matching the store API's error discipline.
+// (screen/funnel.h) as JSON.  The body is checked as serve/request.h
+// specifies; an omitted option keeps its default, capped like a sent one.
 //
 // Receptor grids are the expensive part, so the service memoizes one
 // PreparedReceptor per (pdb_id, grid-shaping options) behind an annotated
@@ -46,8 +45,9 @@ class ScreenService {
   HttpResponse handle(const HttpRequest& request, const std::string& body);
 
  private:
+  HttpResponse screen(const HttpRequest& request, const std::string& body);
   std::shared_ptr<const screen::PreparedReceptor> prepared_for(
-      const std::string& pdb_id, const screen::ScreenOptions& options,
+      const store::EntryRecord& entry, const screen::ScreenOptions& options,
       std::string* grid_hash) QDB_EXCLUDES(mu_);
 
   const store::Store& store_;

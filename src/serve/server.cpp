@@ -1,7 +1,6 @@
 #include "serve/server.h"
 
 #include <chrono>
-#include <cstdlib>
 #include <optional>
 #include <utility>
 
@@ -12,107 +11,59 @@
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "serve/request.h"
 
 namespace qdb::serve {
 
 namespace {
 
-HttpResponse error_response(int status, const std::string& message) {
-  Json body = Json::object();
-  body.set("error", message);
-  HttpResponse resp;
-  resp.status = status;
-  resp.body = body.dump();
-  return resp;
+constexpr Field kMetricsFields[] = {
+    {.key = "format", .type = FieldType::OneOf, .choices = "json|prometheus"},
+};
+
+/// An /entries filter on an integer column.
+constexpr Field int_filter(std::string_view key) {
+  return {.key = key, .type = FieldType::Int, .min = -1e9, .max = 1e9};
 }
 
-/// Strict Content-Length parsing: digits only, whole value must consume.
-bool parse_content_length(const std::string& s, std::size_t* out) {
-  if (s.empty() || s.size() > 18) return false;
-  std::size_t v = 0;
-  for (char c : s) {
-    if (c < '0' || c > '9') return false;
-    v = v * 10 + static_cast<std::size_t>(c - '0');
+/// The /entries filters.  Unknown or malformed parameters are an error: a
+/// typo silently matching everything is worse than a 400.
+constexpr Field kEntriesFields[] = {
+    {.key = "group", .type = FieldType::OneOf, .choices = "S|M|L"},
+    int_filter("length"),   int_filter("min_length"), int_filter("max_length"),
+    int_filter("qubits"),   int_filter("min_qubits"), int_filter("max_qubits"),
+    {.key = "min_rmsd", .type = FieldType::Number},
+    {.key = "max_rmsd", .type = FieldType::Number},
+    {.key = "min_affinity", .type = FieldType::Number},
+    {.key = "max_affinity", .type = FieldType::Number},
+};
+
+/// The column of `e` a numeric /entries filter names; any other name is a bug.
+double entry_column(std::string_view column, const store::EntryRecord& e) {
+  if (column == "length") return e.length;
+  if (column == "qubits") return e.qubits;
+  if (column == "rmsd") return e.ca_rmsd;
+  QDB_REQUIRE(column == "affinity", "no /entries column named '" << column << "'");
+  return e.best_affinity;
+}
+
+/// Does `e` pass every filter the request carries?  A min_ or max_ key
+/// bounds the column the rest of its name names; a bare key must equal it.
+bool entry_matches(const Params& filters, const store::EntryRecord& e) {
+  for (const auto& [key, value] : filters.fields.as_object()) {
+    if (key == "group") {
+      if (e.group != value.as_string().front()) return false;
+      continue;
+    }
+    const bool min = starts_with(key, "min_");
+    const bool max = starts_with(key, "max_");
+    const std::string_view column = std::string_view(key).substr(min || max ? 4 : 0);
+    const double v = entry_column(column, e);
+    const double bound = value.as_double();
+    if (min ? v < bound : max ? v > bound : v != bound) return false;
   }
-  *out = v;
   return true;
 }
-
-/// Strict numeric query parsing: the whole value must consume.
-std::optional<double> parse_double(const std::string& s) {
-  if (s.empty()) return std::nullopt;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end == nullptr || *end != '\0') return std::nullopt;
-  return v;
-}
-
-std::optional<int> parse_int(const std::string& s) {
-  if (s.empty()) return std::nullopt;
-  char* end = nullptr;
-  const long v = std::strtol(s.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return std::nullopt;
-  if (v < -1000000000L || v > 1000000000L) return std::nullopt;
-  return static_cast<int>(v);
-}
-
-/// The /entries filter set.  Unknown or malformed parameters are an error:
-/// a typo silently matching everything is worse than a 400.
-struct EntryFilter {
-  std::optional<char> group;
-  std::optional<int> length, min_length, max_length;
-  std::optional<int> qubits, min_qubits, max_qubits;
-  std::optional<double> min_rmsd, max_rmsd;
-  std::optional<double> min_affinity, max_affinity;
-
-  /// Returns an error message, or empty on success.
-  std::string parse(const HttpRequest& request) {
-    for (const auto& [key, value] : request.query) {
-      if (key == "group") {
-        if (value != "S" && value != "M" && value != "L") {
-          return "group must be S, M or L";
-        }
-        group = value[0];
-      } else if (key == "length" || key == "min_length" || key == "max_length" ||
-                 key == "qubits" || key == "min_qubits" || key == "max_qubits") {
-        const std::optional<int> v = parse_int(value);
-        if (!v) return "parameter '" + key + "' must be an integer";
-        if (key == "length") length = v;
-        else if (key == "min_length") min_length = v;
-        else if (key == "max_length") max_length = v;
-        else if (key == "qubits") qubits = v;
-        else if (key == "min_qubits") min_qubits = v;
-        else max_qubits = v;
-      } else if (key == "min_rmsd" || key == "max_rmsd" || key == "min_affinity" ||
-                 key == "max_affinity") {
-        const std::optional<double> v = parse_double(value);
-        if (!v) return "parameter '" + key + "' must be a number";
-        if (key == "min_rmsd") min_rmsd = v;
-        else if (key == "max_rmsd") max_rmsd = v;
-        else if (key == "min_affinity") min_affinity = v;
-        else max_affinity = v;
-      } else {
-        return "unknown parameter '" + key + "'";
-      }
-    }
-    return "";
-  }
-
-  bool matches(const store::EntryRecord& e) const {
-    if (group && e.group != *group) return false;
-    if (length && e.length != *length) return false;
-    if (min_length && e.length < *min_length) return false;
-    if (max_length && e.length > *max_length) return false;
-    if (qubits && e.qubits != *qubits) return false;
-    if (min_qubits && e.qubits < *min_qubits) return false;
-    if (max_qubits && e.qubits > *max_qubits) return false;
-    if (min_rmsd && e.ca_rmsd < *min_rmsd) return false;
-    if (max_rmsd && e.ca_rmsd > *max_rmsd) return false;
-    if (min_affinity && e.best_affinity < *min_affinity) return false;
-    if (max_affinity && e.best_affinity > *max_affinity) return false;
-    return true;
-  }
-};
 
 Json entry_summary_json(const store::EntryRecord& e) {
   Json j = Json::object();
@@ -154,6 +105,12 @@ bool etag_matches(const std::string& if_none_match, const std::string& hash) {
     v = v.substr(1, v.size() - 2);
   }
   return v == hash;
+}
+
+const store::EntryRecord& entry_named(const store::Store& store, std::string_view pdb_id) {
+  const store::EntryRecord* e = store.find(pdb_id);
+  if (e == nullptr) not_found("unknown entry '" + std::string(pdb_id) + "'");
+  return *e;
 }
 
 }  // namespace
@@ -314,9 +271,6 @@ void DatasetServer::serve_connection(Socket conn) {
         // answer and drop the connection instead.
         response = error_response(413, "request body too large");
         keep_alive = false;
-      } else if (body_len > 0 && route_for(request.path) == nullptr) {
-        response = error_response(400, "request bodies are not accepted");
-        keep_alive = false;
       } else {
         dispatch = true;
       }
@@ -380,11 +334,7 @@ void DatasetServer::serve_connection(Socket conn) {
           obs::Span request_span("serve.request");
           request_span.set_attr("method", request.method);
           request_span.set_attr("path", request.path);
-          try {
-            response = handle(request, body);
-          } catch (const std::exception& e) {
-            response = error_response(500, e.what());
-          }
+          response = handle(request, body);
         }
         micros = static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::microseconds>(
@@ -440,98 +390,72 @@ const RouteHandler* DatasetServer::route_for(std::string_view path) const {
   return nullptr;
 }
 
-HttpResponse DatasetServer::handle(const HttpRequest& request) const {
-  return handle(request, std::string());
-}
-
 HttpResponse DatasetServer::handle(const HttpRequest& request,
                                    const std::string& body) const {
-  // Mounted sub-APIs route first and do their own method validation.
-  if (const RouteHandler* route = route_for(request.path)) {
-    return (*route)(request, body);
-  }
-  if (request.method != "GET") {
-    HttpResponse resp = error_response(405, "only GET is supported");
-    resp.extra_headers.emplace_back("Allow", "GET");
-    return resp;
-  }
-  const std::string& path = request.path;
-  if (path == "/healthz") {
-    Json health = Json::object();
-    health.set("status", "ok");
-    health.set("entries", static_cast<std::int64_t>(store_.entries().size()));
-    HttpResponse resp;
-    resp.body = health.dump();
-    return resp;
-  }
-  if (path == "/metrics") return handle_metrics(request);
-  if (path == "/entries") return handle_entries(request);
-  if (starts_with(path, "/entries/")) {
-    const std::string_view rest = std::string_view(path).substr(9);
-    const std::size_t slash = rest.find('/');
-    if (slash == std::string_view::npos) {
-      if (rest.empty()) return error_response(404, "missing pdb id");
-      return handle_entry(request, rest);
+  return respond([&] {
+    // Mounted sub-APIs route first and do their own method validation.
+    if (const RouteHandler* route = route_for(request.path)) {
+      return (*route)(request, body);
     }
-    const std::string_view pdb_id = rest.substr(0, slash);
-    const std::string_view filename = rest.substr(slash + 1);
-    return handle_artifact(request, pdb_id, filename);
-  }
-  return error_response(404, "no such resource: " + path);
+    // Only mounted routes take bodies.
+    if (!body.empty()) bad_request("request bodies are not accepted");
+    if (request.method != "GET") return method_not_allowed("GET");
+    const std::string& path = request.path;
+    if (path == "/healthz") {
+      request_params(request, body, {});
+      Json health = Json::object();
+      health.set("status", "ok");
+      health.set("entries", static_cast<std::int64_t>(store_.entries().size()));
+      return json_response(200, health);
+    }
+    if (path == "/metrics") return handle_metrics(request);
+    if (path == "/entries") return handle_entries(request);
+    if (starts_with(path, "/entries/")) {
+      const std::string_view rest = std::string_view(path).substr(9);
+      const std::size_t slash = rest.find('/');
+      if (slash == std::string_view::npos) {
+        if (rest.empty()) not_found("missing pdb id");
+        return handle_entry(request, rest);
+      }
+      return handle_artifact(request, rest.substr(0, slash), rest.substr(slash + 1));
+    }
+    not_found("no such resource: " + path);
+  });
 }
 
 HttpResponse DatasetServer::handle_entries(const HttpRequest& request) const {
-  EntryFilter filter;
-  const std::string err = filter.parse(request);
-  if (!err.empty()) return error_response(400, err);
-
+  const Params filter = request_params(request, {}, kEntriesFields);
   Json entries = Json::array();
-  std::int64_t count = 0;
   for (const store::EntryRecord& e : store_.entries()) {
-    if (!filter.matches(e)) continue;
-    entries.push_back(entry_summary_json(e));
-    ++count;
+    if (entry_matches(filter, e)) entries.push_back(entry_summary_json(e));
   }
   Json body = Json::object();
-  body.set("count", count);
+  body.set("count", static_cast<std::int64_t>(entries.as_array().size()));
   body.set("entries", std::move(entries));
-  HttpResponse resp;
-  resp.body = body.dump();
-  return resp;
+  return json_response(200, body);
 }
 
 HttpResponse DatasetServer::handle_entry(const HttpRequest& request,
                                          std::string_view pdb_id) const {
-  if (!request.query.empty()) {
-    return error_response(400, "entry lookup takes no parameters");
-  }
-  const store::EntryRecord* e = store_.find(pdb_id);
-  if (e == nullptr) {
-    return error_response(404, "unknown entry '" + std::string(pdb_id) + "'");
-  }
-  HttpResponse resp;
-  resp.body = entry_summary_json(*e).dump();
-  return resp;
+  request_params(request, {}, {});
+  return json_response(200, entry_summary_json(entry_named(store_, pdb_id)));
 }
 
 HttpResponse DatasetServer::handle_artifact(const HttpRequest& request,
                                             std::string_view pdb_id,
                                             std::string_view filename) const {
-  const store::EntryRecord* e = store_.find(pdb_id);
-  if (e == nullptr) {
-    return error_response(404, "unknown entry '" + std::string(pdb_id) + "'");
-  }
+  request_params(request, {}, {});
+  const store::EntryRecord& e = entry_named(store_, pdb_id);
   std::optional<store::Artifact> which;
   for (int i = 0; i < store::kArtifactCount; ++i) {
     const auto a = static_cast<store::Artifact>(i);
     if (filename == store::artifact_filename(a)) which = a;
   }
   if (!which) {
-    return error_response(404, "unknown artifact '" + std::string(filename) +
-                                   "' (try structure.pdb, metadata.json, "
-                                   "docking.json)");
+    not_found("unknown artifact '" + std::string(filename) +
+              "' (try structure.pdb, metadata.json, docking.json)");
   }
-  const store::ArtifactRef& ref = e->artifact(*which);
+  const store::ArtifactRef& ref = e.artifact(*which);
   const std::string etag = "\"" + ref.hash + "\"";
 
   HttpResponse resp;
@@ -542,23 +466,13 @@ HttpResponse DatasetServer::handle_artifact(const HttpRequest& request,
     return resp;
   }
   resp.content_type = artifact_content_type(*which);
-  resp.body = *store_.read_artifact(*e, *which);
+  resp.body = *store_.read_artifact(e, *which);
   return resp;
 }
 
 HttpResponse DatasetServer::handle_metrics(const HttpRequest& request) const {
-  for (const auto& [key, value] : request.query) {
-    (void)value;
-    if (key != "format") {
-      return error_response(400, "unknown parameter '" + key + "'");
-    }
-  }
-  const std::string* fmt = request.query_param("format");
-  if (fmt != nullptr && *fmt != "json" && *fmt != "prometheus") {
-    return error_response(400, "unknown format '" + *fmt +
-                                   "' (expected json or prometheus)");
-  }
-  if (fmt != nullptr && *fmt == "prometheus") {
+  const Params params = request_params(request, {}, kMetricsFields);
+  if (params.get<std::string>("format") == "prometheus") {
     HttpResponse resp;
     resp.content_type = "text/plain; version=0.0.4; charset=utf-8";
     resp.body = obs::MetricRegistry::global().to_prometheus();
@@ -591,10 +505,7 @@ HttpResponse DatasetServer::handle_metrics(const HttpRequest& request) const {
   // every layer, plus collector-sourced fault/contract counts.  Additive —
   // the historical sections above keep their exact shapes.
   body.set("registry", obs::MetricRegistry::global().to_json());
-
-  HttpResponse resp;
-  resp.body = body.dump();
-  return resp;
+  return json_response(200, body);
 }
 
 }  // namespace qdb::serve

@@ -75,7 +75,8 @@ struct ServeOptions {
 
 /// A mounted sub-API handler (ISSUE 7): receives the parsed request plus the
 /// raw body bytes and produces the full response, including its own method
-/// and parameter validation.  Must be thread-safe — the worker pool calls it
+/// and parameter validation; what it throws is answered by the status rule
+/// of serve/request.h.  Must be thread-safe — the worker pool calls it
 /// concurrently.
 using RouteHandler =
     std::function<HttpResponse(const HttpRequest& request, const std::string& body)>;
@@ -111,12 +112,11 @@ class DatasetServer {
   /// earlier ones.
   void set_route(std::string prefix, RouteHandler handler);
 
-  /// Pure request → response routing; exposed so tests can drive the
-  /// router without a socket in the loop.  Thread-safe.
-  HttpResponse handle(const HttpRequest& request) const;
-
-  /// Routing including mounted sub-APIs and the request body (ISSUE 7).
-  HttpResponse handle(const HttpRequest& request, const std::string& body) const;
+  /// Pure request → response routing, mounted sub-APIs and the request body
+  /// included; exposed so tests can drive the router without a socket in the
+  /// loop.  Thread-safe.  Never throws: respond() (serve/request.h) answers
+  /// every exception.
+  HttpResponse handle(const HttpRequest& request, const std::string& body = {}) const;
 
  private:
   const RouteHandler* route_for(std::string_view path) const;

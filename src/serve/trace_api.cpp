@@ -2,106 +2,53 @@
 
 #include <string>
 
-#include "common/error.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "serve/request.h"
 
 namespace qdb::serve {
 
 namespace {
 
-HttpResponse json_response(int status, const Json& body) {
-  HttpResponse resp;
-  resp.status = status;
-  resp.body = body.dump();
-  return resp;
-}
+/// A qdb_cli --trace dump: TraceSession::to_chrome_json ("process" only
+/// when named) plus the summary, registry and prometheus keys.
+constexpr Field kTraceFields[] = {
+    {.key = "traceEvents", .type = FieldType::Array, .required = true},
+    {.key = "displayTimeUnit", .type = FieldType::String},
+    {.key = "process", .type = FieldType::Object},
+    {.key = "summary", .type = FieldType::Array},
+    {.key = "registry", .type = FieldType::Object},
+    {.key = "prometheus", .type = FieldType::String},
+};
 
-HttpResponse error_response(int status, const std::string& message) {
-  Json body = Json::object();
-  body.set("error", message);
-  return json_response(status, body);
-}
-
-HttpResponse method_not_allowed(const char* allow) {
-  HttpResponse resp = error_response(405, std::string("use ") + allow);
-  resp.extra_headers.emplace_back("Allow", allow);
-  return resp;
-}
+constexpr Field kFlightFields[] = {
+    {.key = "n", .type = FieldType::Int, .min = 1, .max = obs::kFlightCapacity},
+};
 
 HttpResponse handle_trace_ingest(const store::Store& store,
                                  const HttpRequest& request,
                                  const std::string& body) {
-  static obs::Counter& ingests = obs::counter("serve.trace.ingests");
-  static obs::Counter& rejected = obs::counter("serve.trace.rejected");
-  QDB_SPAN("serve.trace.ingest");
-
-  if (request.path != "/trace") {
-    rejected.add();
-    return error_response(404, "no such trace endpoint: " + request.path);
-  }
-  if (request.method != "POST") {
-    rejected.add();
-    return method_not_allowed("POST");
-  }
-  if (!request.query.empty()) {
-    rejected.add();
-    return error_response(400, "trace takes a JSON body, not query parameters");
-  }
-  try {
-    const Json doc = Json::parse(body);
-    if (!doc.is_object()) {
-      rejected.add();
-      return error_response(400, "body must be a JSON object");
-    }
-    if (!doc.contains("traceEvents") || !doc.at("traceEvents").is_array()) {
-      rejected.add();
-      return error_response(400, "body must carry a traceEvents array");
-    }
-    // Store the exact bytes, not a re-serialisation: the hash a merge tool
-    // fetches must match what the remote process wrote.
-    const std::string hash = store.put_blob(body);
-    ingests.add();
-    Json resp = Json::object();
-    resp.set("hash", hash);
-    resp.set("events",
-             static_cast<std::int64_t>(doc.at("traceEvents").as_array().size()));
-    return json_response(200, resp);
-  } catch (const ParseError& ex) {
-    rejected.add();
-    return error_response(400, std::string("bad request body: ") + ex.what());
-  }
+  if (request.path != "/trace") not_found("no such trace endpoint: " + request.path);
+  if (request.method != "POST") return method_not_allowed("POST");
+  const Params params = request_params(request, body, kTraceFields);
+  // Store the exact bytes, not a re-serialisation: the hash a merge tool
+  // fetches must match what the remote process wrote.
+  Json resp = Json::object();
+  resp.set("hash", store.put_blob(body));
+  resp.set("events",
+           static_cast<std::int64_t>(params.fields.at("traceEvents").as_array().size()));
+  return json_response(200, resp);
 }
 
-HttpResponse handle_flight(const HttpRequest& request) {
-  if (request.path != "/debug/flight") {
-    return error_response(404, "no such debug endpoint: " + request.path);
-  }
-  if (request.method != "GET") {
-    return method_not_allowed("GET");
-  }
-  std::size_t max_records = obs::kFlightCapacity;
-  for (const auto& [key, value] : request.query) {
-    if (key != "n") {
-      return error_response(400, "unknown parameter '" + key + "'");
-    }
-    std::size_t n = 0;
-    bool ok = !value.empty() && value.size() <= 6;
-    for (const char c : value) {
-      if (c < '0' || c > '9') {
-        ok = false;
-        break;
-      }
-      n = n * 10 + static_cast<std::size_t>(c - '0');
-    }
-    if (!ok || n < 1 || n > obs::kFlightCapacity) {
-      return error_response(400, "n must be an integer in [1, " +
-                                     std::to_string(obs::kFlightCapacity) + "]");
-    }
-    max_records = n;
-  }
-  return json_response(200, obs::flight_snapshot_json(max_records));
+HttpResponse handle_flight(const HttpRequest& request, const std::string& body) {
+  // No /debug route takes a body: refused before routing, as on built-ins.
+  if (!body.empty()) bad_request("request bodies are not accepted");
+  if (request.path != "/debug/flight") not_found("no such debug endpoint: " + request.path);
+  if (request.method != "GET") return method_not_allowed("GET");
+  const Params params = request_params(request, body, kFlightFields);
+  return json_response(200, obs::flight_snapshot_json(
+                                params.get<std::size_t>("n").value_or(obs::kFlightCapacity)));
 }
 
 }  // namespace
@@ -109,15 +56,15 @@ HttpResponse handle_flight(const HttpRequest& request) {
 void attach_trace_api(DatasetServer& server, const store::Store& store) {
   server.set_route("/trace", [&store](const HttpRequest& request,
                                       const std::string& body) {
-    return handle_trace_ingest(store, request, body);
+    static obs::Counter& ingests = obs::counter("serve.trace.ingests");
+    static obs::Counter& rejected = obs::counter("serve.trace.rejected");
+    QDB_SPAN("serve.trace.ingest");
+    const HttpResponse resp =
+        respond([&] { return handle_trace_ingest(store, request, body); });
+    (resp.status == 200 ? ingests : rejected).add();
+    return resp;
   });
-  server.set_route("/debug", [](const HttpRequest& request,
-                                const std::string& body) {
-    if (!body.empty()) {
-      return error_response(400, "request bodies are not accepted");
-    }
-    return handle_flight(request);
-  });
+  server.set_route("/debug", handle_flight);
 }
 
 }  // namespace qdb::serve

@@ -4,8 +4,9 @@
 //
 //   POST /trace         — ingest one process's Chrome-trace dump into the
 //                         content-addressed store.  Body must be a JSON
-//                         object with a "traceEvents" array (the exact
-//                         format qdb_cli --trace writes); stored verbatim
+//                         object with a "traceEvents" array and only the
+//                         other keys of a qdb_cli --trace dump besides (see
+//                         kTraceFields in trace_api.cpp); stored verbatim
 //                         via Store::put_blob, so identical dumps dedup and
 //                         the response {"hash", "events"} names the blob a
 //                         later qdb_trace_merge can pull.
@@ -15,8 +16,7 @@
 //                         other parameter, or a malformed n, is a strict
 //                         400 like every other endpoint.
 //
-// Both endpoints follow the screen_api conventions: JSON error bodies,
-// 405 + Allow on wrong methods, unknown keys rejected by name.
+// Both endpoints follow the request contract of serve/request.h.
 #pragma once
 
 #include "serve/server.h"

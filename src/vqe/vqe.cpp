@@ -15,7 +15,6 @@
 #include "quantum/histogram.h"
 #include "quantum/mitigation.h"
 #include "quantum/mps.h"
-#include "quantum/statevector.h"
 #include "vqe/exec_time.h"
 
 namespace qdb {
@@ -127,13 +126,9 @@ VqeResult VqeDriver::run() const {
               std::to_string(opt_.max_bond) + " (retry on the dense engine)");
         }
         s = sim.sample(want, rng);
-      } else if (opt_.use_fused_engine) {
+      } else {
         FusedEngine& sim = dense_engine(precision);
         sim.reset();
-        sim.apply(noisy);
-        s = sim.sample(want, rng);
-      } else {
-        Statevector sim(nq);
         sim.apply(noisy);
         s = sim.sample(want, rng);
       }

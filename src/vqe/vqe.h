@@ -66,11 +66,6 @@ struct VqeOptions {
   // scalar engine.
   Precision stage1_precision = Precision::f32;
 
-  // Escape hatch: route dense sampling through the legacy one-gate-at-a-
-  // time Statevector instead of the fused engine (A/B determinism checks;
-  // with stage1_precision = f64 the two produce identical results).
-  bool use_fused_engine = true;
-
   // Bound on the per-driver bitstring -> energy memo.  COBYLA iterations
   // revisit the same basins, so distinct bitstrings scored in earlier
   // iterations are reused for free.  0 disables caching.

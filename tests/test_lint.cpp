@@ -197,6 +197,21 @@ TEST(Rules, RawTraceparentScansRawTextInLibraryOnly) {
   EXPECT_TRUE(of_rule(lint_source("src/serve/x.cpp", ok), "raw-traceparent").empty());
 }
 
+TEST(Rules, LenientNumberFiresInLibraryCodeOnly) {
+  const std::filesystem::path root =
+      std::filesystem::path(QDB_SOURCE_DIR) / "tests" / "lint_fixtures" / "numbers";
+  const std::vector<Diagnostic> diags = lint_tree(root, {"src"});
+  ASSERT_EQ(diags.size(), 4u);
+  for (const Diagnostic& d : diags) {
+    EXPECT_EQ(d.rule, "lenient-number") << format_diagnostic(d);
+    EXPECT_EQ(d.file, "src/lenient.cpp");
+  }
+  // Outside src/ (the CLI parses its own flags) the calls are not flagged.
+  const std::string bad = "int n = std::atoi(argv[1]); double d = strtod(s, &end);";
+  EXPECT_EQ(of_rule(lint_source("src/a.cpp", bad), "lenient-number").size(), 2u);
+  EXPECT_TRUE(of_rule(lint_source("examples/a.cpp", bad), "lenient-number").empty());
+}
+
 TEST(Fixtures, TreeScanFindsEveryPlantedViolationAndNothingElse) {
   const std::filesystem::path root =
       std::filesystem::path(QDB_SOURCE_DIR) / "tests" / "lint_fixtures" / "proj";

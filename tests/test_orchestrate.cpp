@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>  // getpid for per-process scratch directories
 
+#include <atomic>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -489,6 +490,8 @@ TEST(JobApi, EndpointMatrixStatusesAndBodies) {
   EXPECT_EQ(server.handle(make_request("GET", "/jobs/nope")).status, 404);
   EXPECT_EQ(server.handle(make_request("POST", "/jobs/lease"), "{oops").status, 400);
   EXPECT_EQ(server.handle(make_request("POST", "/jobs/lease"), "{}").status, 400);
+  EXPECT_EQ(server.handle(make_request("POST", "/jobs/lease"),
+                          "{\"worker\":\"w1\",\"bogus\":1}").status, 400);
 
   // Lease grant over the wire.
   serve::HttpResponse resp = server.handle(make_request("POST", "/jobs/lease"),
@@ -549,6 +552,51 @@ TEST(JobApi, EndpointMatrixStatusesAndBodies) {
   EXPECT_EQ(status.at("counters").at("duplicate_completions").as_int(), 1);
   EXPECT_FALSE(status.at("drained").as_bool());
 
+  fs::remove_all(dir);
+}
+
+TEST(JobApi, StoreWriteFaultOnCompleteIs500AndTheJobStaysLeased) {
+  InjectorGuard guard;
+  const std::string dir = scratch_dir("api_fault");
+  store::Store store(dir + "/results");
+  ManualClock clock;
+  CoordinatorOptions copt;
+  copt.batch = account_options();
+  copt.clock = &clock;
+  copt.results = &store;
+  const auto entries = first_s_entries(1);
+  Coordinator coord(entries, copt);
+  serve::DatasetServer server(store, {});
+  attach_job_api(server, coord);
+
+  const LeaseGrant grant = coord.lease("w1");
+  ASSERT_EQ(grant.state, LeaseGrant::State::Granted);
+  Json complete = Json::object();
+  complete.set("worker", "w1");
+  complete.set("lease_token", static_cast<std::int64_t>(grant.lease_token));
+  complete.set("record", batch_job_record_json(run_batch_job(*entries[0], copt.batch)));
+  const serve::HttpRequest request =
+      make_request("POST", "/jobs/" + grant.pdb_id + "/complete");
+
+  // The store write fails: the server's fault, so 500, and nothing commits.
+  FaultSiteConfig cfg;
+  cfg.kind = FaultKind::Io;
+  cfg.trigger_on_nth = 1;
+  FaultInjector::instance().configure("store.ingest.io", cfg);
+  {
+    FaultScope scope("api-fault", 1);
+    const serve::HttpResponse failed = server.handle(request, complete.dump());
+    EXPECT_EQ(failed.status, 500);
+    EXPECT_TRUE(Json::parse(failed.body).at("error").is_string());
+  }
+  EXPECT_EQ(coord.jobs()[0].state, JobState::Leased);
+
+  // The retry commits.
+  InjectorGuard::reset();
+  const serve::HttpResponse retried = server.handle(request, complete.dump());
+  ASSERT_EQ(retried.status, 200) << retried.body;
+  EXPECT_TRUE(complete_result_from_json(Json::parse(retried.body)).accepted);
+  EXPECT_EQ(coord.jobs()[0].state, JobState::Done);
   fs::remove_all(dir);
 }
 
@@ -704,6 +752,57 @@ TEST(Worker, UnreachableCoordinatorAbortsAfterBoundedRetries) {
   const WorkerStats stats = run_worker(wopt);
   EXPECT_TRUE(stats.aborted_io);
   EXPECT_EQ(stats.leases_received, 0);
+}
+
+TEST(Worker, CompletionRetriesAfterCoordinatorStoreFault) {
+  InjectorGuard guard;
+  const std::string dir = scratch_dir("complete_500");
+  store::Store store(dir + "/results");
+  // Configured before the coordinator: the fault sites are part of the
+  // batch fingerprint the worker must match.
+  FaultSiteConfig cfg;
+  cfg.kind = FaultKind::Io;
+  cfg.trigger_on_nth = 1;
+  FaultInjector::instance().configure("store.ingest.io", cfg);
+  CoordinatorOptions copt;
+  copt.batch = account_options();
+  copt.results = &store;
+  const auto entries = first_s_entries(1);
+  Coordinator coord(entries, copt);
+  serve::DatasetServer api(store, {});
+  attach_job_api(api, coord);
+
+  // The live server forwards /jobs to the job API and runs the first
+  // completion inside an armed scope, so its store write fails: a 500.
+  std::atomic<int> completions{0};
+  serve::DatasetServer front(store, ephemeral_options(1));
+  front.set_route("/jobs", [&](const serve::HttpRequest& request, const std::string& body) {
+    if (request.path.ends_with("/complete") && completions.fetch_add(1) == 0) {
+      FaultScope scope("front", 1);
+      return api.handle(request, body);
+    }
+    return api.handle(request, body);
+  });
+  front.start();
+
+  WorkerOptions wopt;
+  wopt.port = front.port();
+  wopt.worker_id = "w1";
+  wopt.batch = copt.batch;
+  wopt.heartbeats = false;
+  wopt.backoff_initial_ms = 1;
+  wopt.backoff_max_ms = 2;
+  const WorkerStats stats = run_worker(wopt);
+  front.stop();
+
+  // The 500 is retried, not fatal: the second completion commits.
+  EXPECT_EQ(FaultInjector::instance().fire_count("store.ingest.io"), 1u);
+  EXPECT_EQ(completions.load(), 2);
+  EXPECT_FALSE(stats.aborted_io);
+  EXPECT_EQ(stats.completions_accepted, 1);
+  EXPECT_EQ(stats.completions_abandoned, 0);
+  EXPECT_TRUE(coord.drained());
+  fs::remove_all(dir);
 }
 
 // --- the chaos gate ----------------------------------------------------------

@@ -644,6 +644,9 @@ TEST(BatchResilience, CorruptOrMismatchedCheckpointRefusesToResume) {
   other.usd_per_second = 99.0;
   EXPECT_THROW(run_batch(subset, other), Error);
   EXPECT_THROW(run_batch(subset, other), IoError);
+  BatchOptions f64 = opt;
+  f64.vqe.stage1_precision = Precision::f64;
+  EXPECT_THROW(run_batch(subset, f64), IoError);
 
   // A version-1 checkpoint (%.10g text plus "_bits" twins) is refused rather
   // than resumed from its rounded values.

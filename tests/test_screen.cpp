@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/fault.h"
 #include "common/json.h"
 #include "data/dataset_io.h"
 #include "data/registry.h"
@@ -608,6 +609,29 @@ TEST_F(ScreenApiTest, StrictRequestMatrix) {
 
   // Unknown receptor: 404, not 500.
   EXPECT_EQ(post("{\"pdb_id\": \"zzzz\"}"), 404);
+}
+
+TEST_F(ScreenApiTest, StoreWriteFaultOnGridIngestIs500) {
+  // A fresh store and service: no cached grid and no grid blob yet, so the
+  // request must write one.
+  store::Store store(*dir_ + "/fault_store", 32);
+  store.ingest_dataset(*dir_ + "/dataset");
+  serve::ScreenService service(store, {.threads = 1});
+
+  FaultSiteConfig cfg;
+  cfg.kind = FaultKind::Io;
+  cfg.trigger_on_nth = 1;
+  FaultInjector::instance().configure("store.ingest.io", cfg);
+  serve::HttpResponse resp;
+  {
+    FaultScope scope("screen-api-fault", 1);
+    resp = service.handle(screen_request(), small_body().dump());
+  }
+  FaultInjector::instance().clear();
+  EXPECT_EQ(resp.status, 500) << resp.body;
+  EXPECT_TRUE(Json::parse(resp.body).at("error").is_string());
+  // Without the fault the same request screens.
+  EXPECT_EQ(service.handle(screen_request(), small_body().dump()).status, 200);
 }
 
 TEST_F(ScreenApiTest, ScreensAndIngestsOverTheMountedRoute) {

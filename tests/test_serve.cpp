@@ -160,6 +160,16 @@ TEST_F(ServeTest, RouterStatusMatrix) {
   EXPECT_EQ(server.handle(get_request("/entries?min_qubits=banana")).status, 400);
   EXPECT_EQ(server.handle(get_request("/entries?group=X")).status, 400);
   EXPECT_EQ(server.handle(get_request("/entries/1yc4?x=1")).status, 400);
+  // Lenient spellings the request contract refuses: non-finite, signed,
+  // hex and overflowing numbers, repeated keys, and parameters on routes
+  // that take none.
+  for (const char* bad :
+       {"/entries?min_rmsd=nan", "/entries?max_affinity=nan", "/entries?min_rmsd=inf",
+        "/entries?min_length=+3", "/entries?min_rmsd=0x1p2", "/entries?min_rmsd=1e999",
+        "/entries?min_length=3.0", "/entries?group=S&group=L", "/healthz?x=1",
+        "/entries/1yc4/metadata.json?x=1"}) {
+    EXPECT_EQ(server.handle(get_request(bad)).status, 400) << bad;
+  }
 }
 
 TEST_F(ServeTest, MetricsFormatsAndParameterValidation) {
@@ -644,6 +654,23 @@ TEST_F(ServeTest, TraceIngestIsContentAddressedAndStrict) {
   EXPECT_EQ(client.get("/trace").status, 405);
   EXPECT_EQ(client.post("/trace?x=1", body).status, 400);
   EXPECT_EQ(client.post("/trace/sub", body).status, 404);
+
+  // A real qdb_cli --trace dump: to_chrome_json with a process name, plus
+  // the summary, registry and prometheus keys the CLI adds.
+  obs::TraceSession session;
+  session.start();
+  { obs::Span span("test.trace.dump"); }
+  session.stop();
+  session.set_process(7, "worker-7");
+  Json real = session.to_chrome_json();
+  ASSERT_TRUE(real.contains("process"));
+  real.set("summary", session.summary_json());
+  real.set("registry", obs::MetricRegistry::global().to_json());
+  real.set("prometheus", obs::MetricRegistry::global().to_prometheus());
+  const HttpClientResponse full = client.post("/trace", real.dump());
+  ASSERT_EQ(full.status, 200) << full.body;
+  EXPECT_EQ(Json::parse(full.body).at("events").as_int(),
+            static_cast<std::int64_t>(session.events().size()));
   server.stop();
 }
 

@@ -228,6 +228,26 @@ std::vector<Diagnostic> lint_source(const std::string& relpath, const std::strin
     }
   }
 
+  // lenient-number: the C and std:: string-to-number calls accept leading
+  // space, '+', hex, "nan" and "inf", and stop silently at trailing text.
+  // Library code reads numbers with Json's grammar (serve/request.h for
+  // request parameters) or std::from_chars on the whole value.
+  if (library) {
+    for (const char* tok : {"strtod", "strtof", "strtold", "strtol", "strtoll", "strtoul",
+                            "strtoull", "atoi", "atol", "atoll", "atof", "stoi", "stol",
+                            "stoll", "stoul", "stoull", "stof", "stod", "stold"}) {
+      for_each_token(code, tok, /*allow_std=*/true, [&](std::size_t pos) {
+        const std::size_t paren = skip_ws(code, pos + std::string(tok).size());
+        if (paren < code.size() && code[paren] == '(') {
+          add(pos, "lenient-number",
+              std::string("lenient ") + tok +
+                  "() — it accepts nan, inf, hex, '+' and trailing text; use "
+                  "Json's number grammar or std::from_chars on the whole value");
+        }
+      });
+    }
+  }
+
   // raw-traceparent: the W3C context header is parsed, formatted and even
   // *named* in exactly one place — src/obs/trace.h (allowlisted home of
   // kTraceparentHeader) — so strictness rules (reject uppercase hex, zero

@@ -46,6 +46,12 @@
 //                       between hand-rolled copies.  Scans raw text: the
 //                       banned spelling is a string literal, which the
 //                       stripper removes from code.
+//   lenient-number      strtod/strtol/atoi/atof and relatives, and
+//                       std::sto*, in src/ — they accept nan, inf, hex,
+//                       '+' and trailing text.  Request parameters are read
+//                       with Json's number grammar (serve/request.h),
+//                       other numbers with std::from_chars on the whole
+//                       value.
 //
 // The scanner core (comment/string stripping, token-boundary matching, tree
 // walking, allowlist machinery) lives in tools/scan_util.h, shared with
