@@ -223,7 +223,7 @@ void BM_VinaScoring(benchmark::State& state) {
   const DatasetEntry& e = entry_by_id("2bok");
   const Structure& receptor = pipeline.reference(e);
   const Ligand& lig = pipeline.ligand(e);
-  const ReceptorGrid grid(type_receptor(receptor), 8.0);
+  const NeighbourIndex grid(type_receptor(receptor), 8.0);
   const auto coords = lig.conformation(lig.neutral_pose());
   for (auto _ : state) {
     benchmark::DoNotOptimize(intermolecular_energy(grid, lig, coords));

@@ -15,14 +15,16 @@
 //   - serial fallback when neither is available.
 //
 // Determinism note: parallel_for / parallel_for_threads / parallel_for_static
-// touch disjoint state per index, so their results are independent of the
-// backend and thread count.  parallel_reduce / parallel_reduce_pair reduce
-// in a backend-dependent association order; callers must tolerate the usual
-// floating-point reassociation (all current callers are tolerance-based).
+// / parallel_for_beside touch disjoint state per index, so their results are
+// independent of the backend and thread count.  parallel_reduce /
+// parallel_reduce_pair reduce in a backend-dependent association order;
+// callers must tolerate the usual floating-point reassociation (all current
+// callers are tolerance-based).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <utility>
 
 #if defined(QDB_PARALLEL_FORCE_THREADS)
@@ -34,6 +36,24 @@
 #endif
 
 namespace qdb {
+
+namespace parallel_detail {
+
+/// parallel_for_beside's serial form: side() and then the loop, with an
+/// exception from side() rethrown only after the loop has run.
+template <typename Body, typename Side>
+void side_then_loop(std::int64_t n, Body& body, Side& side) {
+  std::exception_ptr error;
+  try {
+    side();
+  } catch (...) {
+    error = std::current_exception();
+  }
+  for (std::int64_t i = 0; i < n; ++i) body(i);
+  if (error) std::rethrow_exception(error);
+}
+
+}  // namespace parallel_detail
 
 #if defined(QDB_PARALLEL_FORCE_THREADS)
 
@@ -113,6 +133,50 @@ void parallel_for_threads(std::int64_t n, int threads, Body&& body) {
 template <typename Body>
 void parallel_for_static(std::int64_t n, Body&& body) {
   parallel_detail::run_dynamic(n, 0, body);
+}
+
+/// Dynamic parallel for over [0, n) with one side task for the calling
+/// thread: the pool threads start on body at once, while the caller runs
+/// side() first and then joins the loop.  Loops nested in either part run
+/// serially (the one-level rule).  An exception from side() is rethrown
+/// after the loop drains; exceptions must not escape body.  Inside a
+/// parallel region, or with one thread, side() and then the loop run
+/// serially on the caller.
+template <typename Body, typename Side>
+void parallel_for_beside(std::int64_t n, Body&& body, Side&& side) {
+  std::int64_t pool_size = parallel_detail::default_threads() - 1;
+  if (pool_size > n) pool_size = n;
+  if (pool_size <= 0 || parallel_detail::in_parallel_region()) {
+    parallel_detail::side_then_loop(n, body, side);
+    return;
+  }
+  std::atomic<std::int64_t> next{0};
+  auto drain = [&]() {
+    for (std::int64_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
+         i = next.fetch_add(1, std::memory_order_relaxed)) {
+      body(i);
+    }
+  };
+  std::vector<std::thread> pool;
+  pool.reserve(static_cast<std::size_t>(pool_size));
+  for (std::int64_t t = 0; t < pool_size; ++t) {
+    pool.emplace_back([&]() {
+      parallel_detail::in_parallel_region() = true;
+      drain();
+      parallel_detail::in_parallel_region() = false;
+    });
+  }
+  parallel_detail::in_parallel_region() = true;
+  std::exception_ptr error;
+  try {
+    side();
+  } catch (...) {
+    error = std::current_exception();
+  }
+  drain();
+  for (std::thread& th : pool) th.join();
+  parallel_detail::in_parallel_region() = false;
+  if (error) std::rethrow_exception(error);
 }
 
 /// Parallel sum-reduction of body(i) over [0, n).  Each worker accumulates a
@@ -246,6 +310,35 @@ void parallel_for_static(std::int64_t n, Body&& body) {
   for (std::int64_t i = 0; i < n; ++i) body(i);
 #else
   for (std::int64_t i = 0; i < n; ++i) body(i);
+#endif
+}
+
+/// Dynamic parallel for over [0, n) with one side task for the calling
+/// thread: the team's other threads start on body at once, while the caller
+/// (thread 0) runs side() first and then joins the loop.  Loops nested in
+/// either part run serially (nesting is disabled).  An exception from
+/// side() is rethrown after the loop drains; exceptions must not escape
+/// body.  Inside a parallel region the team has one thread, so side() and
+/// then the loop run serially on the caller.
+template <typename Body, typename Side>
+void parallel_for_beside(std::int64_t n, Body&& body, Side&& side) {
+#ifdef _OPENMP
+  std::exception_ptr error;
+#pragma omp parallel
+  {
+    if (omp_get_thread_num() == 0) {
+      try {
+        side();
+      } catch (...) {
+        error = std::current_exception();
+      }
+    }
+#pragma omp for schedule(dynamic, 1)
+    for (std::int64_t i = 0; i < n; ++i) body(i);
+  }
+  if (error) std::rethrow_exception(error);
+#else
+  parallel_detail::side_then_loop(n, body, side);
 #endif
 }
 

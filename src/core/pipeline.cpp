@@ -8,7 +8,9 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "geom/kabsch.h"
+#include "lattice/lattice.h"
 #include "lattice/solver.h"
+#include "obs/trace.h"
 #include "structure/protonate.h"
 
 namespace qdb {
@@ -70,18 +72,27 @@ std::size_t entry_index(const DatasetEntry& entry) {
 
 const Structure& Pipeline::reference(const DatasetEntry& entry) const {
   auto& slot = reference_cache_[entry_index(entry)];
-  if (!slot) slot = reference_structure(entry, opt_.reference);
+  if (!slot) {
+    const obs::Span span("pipeline.reference");
+    slot = reference_structure(entry, opt_.reference);
+  }
   return *slot;
 }
 
 const ImprintResult& Pipeline::ligand_and_site(const DatasetEntry& entry) const {
+  return imprint(entry, {});
+}
+
+const ImprintResult& Pipeline::imprint(const DatasetEntry& entry,
+                                       const std::function<void()>& beside) const {
   auto& slot = ligand_cache_[entry_index(entry)];
   if (!slot) {
     // The paper docks the *native* PDBbind ligand, whose chemistry and
     // shape complement the reference pocket; imprinting reproduces that
     // coupling (see dock/ligand_gen.h).
-    slot = imprint_ligand_with_site(generate_ligand(entry.pdb_id, opt_.ligand),
-                                    reference(entry));
+    const Structure& ref = reference(entry);
+    const obs::Span span("pipeline.imprint");
+    slot = imprint_ligand_with_site(generate_ligand(entry.pdb_id, opt_.ligand), ref, beside);
   }
   return *slot;
 }
@@ -165,20 +176,46 @@ DockingResult Pipeline::dock_prediction(const DatasetEntry& entry,
   return dock(prediction.structure, imp.ligand, params);
 }
 
-Evaluation Pipeline::evaluate(const DatasetEntry& entry, Method method) const {
-  const Prediction pred = predict(entry, method);
-  const DockingResult docking = dock_prediction(entry, pred);
+Pipeline::EntryRun Pipeline::run_entry(const DatasetEntry& entry, Method method) const {
+  obs::Span span("pipeline.evaluate");
+  span.set_attr("entry", entry.pdb_id);
+  EntryRun run;
+  if (ligand_cache_[entry_index(entry)]) {
+    run.prediction = predict(entry, method);
+  } else {
+    // The prediction does not depend on the ligand, so it runs on this
+    // thread beside the imprint's docking runs, which leave cores idle
+    // (DESIGN.md §3.1).  What both sides read is settled first: the
+    // reference, and the tuner plans, so that no kernel is timed while the
+    // dock holds the cores.  The prediction's spans keep this span as their
+    // parent rather than the imprint's dock.run.
+    reference(entry);
+    if (method == Method::QDock) resolve_dense_plans(encoding_qubits(entry.length()), opt_.vqe);
+    const obs::TraceContext here = obs::current_trace_context();
+    imprint(entry, [&] {
+      const obs::ScopedTraceContext scope(here);
+      run.prediction = predict(entry, method);
+    });
+  }
+  run.docking = dock_prediction(entry, run.prediction);
 
-  Evaluation ev;
+  Evaluation& ev = run.evaluation;
   ev.pdb_id = entry.pdb_id;
   ev.group = entry.group();
   ev.method = method;
-  ev.rmsd = ca_rmsd(pred.structure, reference(entry));
-  ev.affinity = docking.best_affinity;
-  ev.mean_affinity = docking.mean_affinity;
-  ev.pose_rmsd_lb = docking.rmsd_lb_mean;
-  ev.pose_rmsd_ub = docking.rmsd_ub_mean;
-  return ev;
+  {
+    const obs::Span rmsd_span("pipeline.rmsd");
+    ev.rmsd = ca_rmsd(run.prediction.structure, reference(entry));
+  }
+  ev.affinity = run.docking.best_affinity;
+  ev.mean_affinity = run.docking.mean_affinity;
+  ev.pose_rmsd_lb = run.docking.rmsd_lb_mean;
+  ev.pose_rmsd_ub = run.docking.rmsd_ub_mean;
+  return run;
+}
+
+Evaluation Pipeline::evaluate(const DatasetEntry& entry, Method method) const {
+  return run_entry(entry, method).evaluation;
 }
 
 std::vector<Evaluation> Pipeline::evaluate_entries(
@@ -204,22 +241,11 @@ std::vector<Evaluation> Pipeline::evaluate_all(Method method) const {
 std::vector<Evaluation> Pipeline::build_dataset(const std::string& root) const {
   std::vector<Evaluation> evals;
   for (const DatasetEntry& entry : qdockbank_entries()) {
-    const Prediction pred = predict(entry, Method::QDock);
-    const DockingResult docking = dock_prediction(entry, pred);
-    const double rmsd = ca_rmsd(pred.structure, reference(entry));
-    QDB_REQUIRE(pred.vqe.has_value(), "QDock prediction must carry VQE metadata");
-    write_entry_files(root, entry, pred.structure, *pred.vqe, docking, rmsd);
-
-    Evaluation ev;
-    ev.pdb_id = entry.pdb_id;
-    ev.group = entry.group();
-    ev.method = Method::QDock;
-    ev.rmsd = rmsd;
-    ev.affinity = docking.best_affinity;
-    ev.mean_affinity = docking.mean_affinity;
-    ev.pose_rmsd_lb = docking.rmsd_lb_mean;
-    ev.pose_rmsd_ub = docking.rmsd_ub_mean;
-    evals.push_back(std::move(ev));
+    EntryRun run = run_entry(entry, Method::QDock);
+    QDB_REQUIRE(run.prediction.vqe.has_value(), "QDock prediction must carry VQE metadata");
+    write_entry_files(root, entry, run.prediction.structure, *run.prediction.vqe, run.docking,
+                      run.evaluation.rmsd);
+    evals.push_back(std::move(run.evaluation));
   }
   return evals;
 }

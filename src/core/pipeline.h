@@ -13,6 +13,7 @@
 // in the environment selects the paper profile everywhere.
 #pragma once
 
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -124,6 +125,20 @@ class Pipeline {
   std::vector<Evaluation> build_dataset(const std::string& root) const;
 
  private:
+  /// One entry's prediction, docking and evaluation: the body shared by
+  /// evaluate and build_dataset.
+  struct EntryRun {
+    Prediction prediction;
+    DockingResult docking;
+    Evaluation evaluation;
+  };
+  EntryRun run_entry(const DatasetEntry& entry, Method method) const;
+
+  /// ligand_and_site, with `beside` run on this thread beside the imprint's
+  /// docking runs when the slot is cold (and not at all when it is warm).
+  const ImprintResult& imprint(const DatasetEntry& entry,
+                               const std::function<void()>& beside) const;
+
   PipelineOptions opt_;
   mutable std::vector<std::optional<Structure>> reference_cache_;
   mutable std::vector<std::optional<ImprintResult>> ligand_cache_;

@@ -74,7 +74,7 @@ struct RunOutput {
   std::vector<ScoredPose> top;  // this run's top poses, best first
 };
 
-RunOutput run_search(const ReceptorGrid& grid, const Ligand& ligand, const Box& box,
+RunOutput run_search(const NeighbourIndex& grid, const Ligand& ligand, const Box& box,
                      const DockingParams& params, int run_index) {
   obs::Span span("dock.search");
   span.set_attr("run", std::to_string(run_index));
@@ -234,7 +234,7 @@ double pose_rmsd_lb(const std::vector<Vec3>& a, const std::vector<Vec3>& b) {
 }
 
 DockingResult dock(const Structure& receptor, const Ligand& ligand,
-                   const DockingParams& params) {
+                   const DockingParams& params, const std::function<void()>& beside) {
   QDB_REQUIRE(params.num_runs >= 1 && params.top_poses >= 1, "bad docking params");
   obs::Span span("dock.run");
   span.set_attr("runs", std::to_string(params.num_runs));
@@ -244,7 +244,7 @@ DockingResult dock(const Structure& receptor, const Ligand& ligand,
       .kv("runs", params.num_runs)
       .kv("seed", params.seed)
       .kv("atoms", ligand.atoms().size());
-  const ReceptorGrid grid(type_receptor(receptor), 8.0);
+  const NeighbourIndex grid(type_receptor(receptor), 8.0);
   Box box = search_box(receptor, params.box_padding);
   if (params.box_size > 0.0) {
     const Vec3 half{params.box_size / 2, params.box_size / 2, params.box_size / 2};
@@ -252,10 +252,15 @@ DockingResult dock(const Structure& receptor, const Ligand& ligand,
   }
 
   std::vector<RunOutput> outputs(static_cast<std::size_t>(params.num_runs));
-  parallel_for(params.num_runs, [&](std::int64_t r) {
-    outputs[static_cast<std::size_t>(r)] =
-        run_search(grid, ligand, box, params, static_cast<int>(r));
-  });
+  parallel_for_beside(
+      params.num_runs,
+      [&](std::int64_t r) {
+        outputs[static_cast<std::size_t>(r)] =
+            run_search(grid, ligand, box, params, static_cast<int>(r));
+      },
+      [&] {
+        if (beside) beside();
+      });
 
   DockingResult result;
   for (const RunOutput& out : outputs) {

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -63,7 +64,11 @@ double pose_rmsd_ub(const std::vector<Vec3>& a, const std::vector<Vec3>& b);
 double pose_rmsd_lb(const std::vector<Vec3>& a, const std::vector<Vec3>& b);
 
 /// Dock `ligand` against the rigid `receptor`.  Deterministic per params.
+/// A non-empty `beside` runs on the calling thread while the pool threads
+/// start the seeded runs (parallel_for_beside); the result does not depend
+/// on it, and an exception from it is rethrown once the runs finish.
 DockingResult dock(const Structure& receptor, const Ligand& ligand,
-                   const DockingParams& params = {});
+                   const DockingParams& params = {},
+                   const std::function<void()>& beside = {});
 
 }  // namespace qdb

@@ -92,7 +92,8 @@ Ligand imprint_ligand(const Ligand& generic, const Structure& reference) {
   return imprint_ligand_with_site(generic, reference).ligand;
 }
 
-ImprintResult imprint_ligand_with_site(const Ligand& generic, const Structure& reference) {
+ImprintResult imprint_ligand_with_site(const Ligand& generic, const Structure& reference,
+                                       const std::function<void()>& beside) {
   // One light, deterministic docking of the generic ligand against the
   // reference pocket fixes the imprinting pose.
   DockingParams params;
@@ -100,7 +101,7 @@ ImprintResult imprint_ligand_with_site(const Ligand& generic, const Structure& r
   params.mc_steps = 900;
   params.top_poses = 1;
   params.seed = fnv1a(generic.name()) ^ 0x1447e4acULL;
-  const DockingResult posed = dock(reference, generic, params);
+  const DockingResult posed = dock(reference, generic, params, beside);
   const auto coords = generic.conformation(posed.poses.front().pose);
 
   // Drug-like imprinting: a handful of directional H-bonds anchored on
@@ -254,7 +255,7 @@ ImprintResult imprint_ligand_with_site(const Ligand& generic, const Structure& r
     const Mat3 r_mat = pose.orientation.to_matrix();
     at_imprint.orientation = pose.orientation;
     at_imprint.translation = world[0] - r_mat * imprinted.atoms()[0].local_pos;
-    const ReceptorGrid dbg_grid(type_receptor(reference), 8.0);
+    const NeighbourIndex dbg_grid(type_receptor(reference), 8.0);
     const double e = affinity_from_energy(
         intermolecular_energy(dbg_grid, imprinted, imprinted.conformation(at_imprint)),
         imprinted.num_torsions());

@@ -11,6 +11,7 @@
 // prediction of a given entry.
 #pragma once
 
+#include <functional>
 #include <string_view>
 
 #include "dock/ligand.h"
@@ -45,11 +46,13 @@ Ligand imprint_ligand(const Ligand& generic, const Structure& reference);
 
 /// Imprinting that also reports the binding-site centre (the centroid of
 /// the imprinted pose, in the reference frame) — the Vina box centre the
-/// evaluation protocol uses.
+/// evaluation protocol uses.  `beside` is passed to the imprinting dock(),
+/// which runs it on the calling thread beside the docking runs.
 struct ImprintResult {
   Ligand ligand;
   Vec3 site_center;
 };
-ImprintResult imprint_ligand_with_site(const Ligand& generic, const Structure& reference);
+ImprintResult imprint_ligand_with_site(const Ligand& generic, const Structure& reference,
+                                       const std::function<void()>& beside = {});
 
 }  // namespace qdb

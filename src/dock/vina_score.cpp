@@ -49,7 +49,7 @@ std::vector<ReceptorAtom> type_receptor(const Structure& receptor) {
   return out;
 }
 
-ReceptorGrid::ReceptorGrid(const std::vector<ReceptorAtom>& atoms, double cutoff)
+NeighbourIndex::NeighbourIndex(const std::vector<ReceptorAtom>& atoms, double cutoff)
     : cutoff_(cutoff), cell_(cutoff) {
   QDB_REQUIRE(!atoms.empty(), "receptor grid needs atoms");
   QDB_REQUIRE(cutoff > 0.0, "cutoff must be positive");
@@ -144,25 +144,25 @@ double slope_step(double x, double good, double bad) {
 
 }  // namespace
 
-double accumulate_point_energy(const ReceptorGrid& grid, const Vec3& p, const LigandAtom& atom,
+double accumulate_point_energy(const NeighbourIndex& grid, const Vec3& p, const LigandAtom& atom,
                                double total, const VinaWeights& w) {
   if (!(std::isfinite(p.x) && std::isfinite(p.y) && std::isfinite(p.z))) {
     return std::numeric_limits<double>::quiet_NaN();
   }
-  const ReceptorGrid::Run* runs = grid.runs_at(p);
+  const NeighbourIndex::Run* runs = grid.runs_at(p);
   if (runs == nullptr) return total;
   const double cutoff2 = grid.cutoff_ * grid.cutoff_;
   const double lr = vdw_radius(atom.element);
-  const std::uint8_t hydrophobic = atom.hydrophobic ? ReceptorGrid::kHydrophobic : std::uint8_t{0};
+  const std::uint8_t hydrophobic = atom.hydrophobic ? NeighbourIndex::kHydrophobic : std::uint8_t{0};
   const std::uint8_t hbond = static_cast<std::uint8_t>(
-      (atom.donor ? ReceptorGrid::kAcceptor : 0) | (atom.acceptor ? ReceptorGrid::kDonor : 0));
+      (atom.donor ? NeighbourIndex::kAcceptor : 0) | (atom.acceptor ? NeighbourIndex::kDonor : 0));
   const double* rx = grid.x_.data();
   const double* ry = grid.y_.data();
   const double* rz = grid.z_.data();
   const double* rr = grid.radius_.data();
   const std::uint8_t* rf = grid.flags_.data();
 
-  for (int r = 0; r < ReceptorGrid::kRuns; ++r) {
+  for (int r = 0; r < NeighbourIndex::kRuns; ++r) {
     for (std::uint32_t k = runs[r].begin; k < runs[r].end; ++k) {
       // The arithmetic of p.distance2(atom position), term for term.
       const double dx = p.x - rx[k];
@@ -185,7 +185,7 @@ double accumulate_point_energy(const ReceptorGrid& grid, const Vec3& p, const Li
   return total;
 }
 
-double intermolecular_energy(const ReceptorGrid& grid, const Ligand& ligand,
+double intermolecular_energy(const NeighbourIndex& grid, const Ligand& ligand,
                              const std::vector<Vec3>& coords, const VinaWeights& w) {
   QDB_REQUIRE(coords.size() == static_cast<std::size_t>(ligand.num_atoms()),
               "coords/ligand mismatch");

@@ -69,9 +69,9 @@ struct VinaWeights {
 /// order, so the order is part of the bit-for-bit results.  A point whose
 /// cell lies outside the padded box visits nothing; the range check happens
 /// in double precision, so far-off points are safe.
-class ReceptorGrid {
+class NeighbourIndex {
  public:
-  explicit ReceptorGrid(const std::vector<ReceptorAtom>& atoms, double cutoff = 8.0);
+  explicit NeighbourIndex(const std::vector<ReceptorAtom>& atoms, double cutoff = 8.0);
 
   /// Visit the original indices of the receptor atoms in the 27 cells
   /// around `p`, in walk order.  A superset of the atoms within the cutoff;
@@ -86,7 +86,7 @@ class ReceptorGrid {
   }
 
  private:
-  friend double accumulate_point_energy(const ReceptorGrid& grid, const Vec3& p,
+  friend double accumulate_point_energy(const NeighbourIndex& grid, const Vec3& p,
                                         const LigandAtom& atom, double total,
                                         const VinaWeights& w);
 
@@ -132,12 +132,12 @@ class ReceptorGrid {
 /// NaN for a non-finite `p`; `total` unchanged for a point outside the box.
 /// intermolecular_energy and the screening grid's node fill both call it,
 /// so a grid node equals a one-atom intermolecular_energy bit for bit.
-double accumulate_point_energy(const ReceptorGrid& grid, const Vec3& p, const LigandAtom& atom,
+double accumulate_point_energy(const NeighbourIndex& grid, const Vec3& p, const LigandAtom& atom,
                                double total, const VinaWeights& w = VinaWeights{});
 
-/// Intermolecular energy of ligand coordinates against the receptor grid;
+/// Intermolecular energy of ligand coordinates against the receptor index;
 /// NaN if a heavy atom has a non-finite coordinate.
-double intermolecular_energy(const ReceptorGrid& grid, const Ligand& ligand,
+double intermolecular_energy(const NeighbourIndex& grid, const Ligand& ligand,
                              const std::vector<Vec3>& coords,
                              const VinaWeights& w = VinaWeights{});
 

@@ -10,6 +10,7 @@
 #include "common/json.h"
 #include "common/rng.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "quantum/ansatz.h"
 
 namespace qdb {
@@ -101,6 +102,9 @@ TunerPlan Tuner::tune_locked(int num_qubits, Precision precision) {
     plan.source = "default";
     return plan;
   }
+  // A one-off cost that would otherwise hide inside the first kernel span.
+  obs::Span span("kernel.tuner.tune");
+  span.set_attr("key", plan_key(num_qubits, precision));
 
   std::vector<int> candidates = {8, 10, 11, 12, 14};
   candidates.erase(std::remove_if(candidates.begin(), candidates.end(),

@@ -105,7 +105,7 @@ PreparedReceptor prepare_receptor(const Structure& receptor,
   gp.threads = options.threads;
   gp.weights = options.weights;
   return PreparedReceptor(ReceptorGrid(receptor, gp),
-                          qdb::ReceptorGrid(type_receptor(receptor)));
+                          qdb::NeighbourIndex(type_receptor(receptor)));
 }
 
 std::uint64_t screen_options_fingerprint(const ScreenOptions& o) {

@@ -59,9 +59,9 @@ struct ScreenOptions {
 /// serialize(), across processes through the content-addressed store.
 struct PreparedReceptor {
   ReceptorGrid grid;
-  qdb::ReceptorGrid rescoring;
+  qdb::NeighbourIndex rescoring;
 
-  PreparedReceptor(ReceptorGrid g, qdb::ReceptorGrid r)
+  PreparedReceptor(ReceptorGrid g, qdb::NeighbourIndex r)
       : grid(std::move(g)), rescoring(std::move(r)) {}
 };
 

@@ -103,7 +103,7 @@ ReceptorGrid::ReceptorGrid(const Structure& receptor, const GridParams& params) 
   QDB_REQUIRE(nodes <= (std::int64_t{1} << 27), "grid too large (lower the padding "
                                                 "or raise the spacing)");
 
-  const qdb::ReceptorGrid rec(type_receptor(receptor), kCutoff);
+  const qdb::NeighbourIndex rec(type_receptor(receptor), kCutoff);
   const std::array<LigandAtom, kNumProbes> probes = {
       probe_atom(Probe::Carbon), probe_atom(Probe::Nitrogen), probe_atom(Probe::Oxygen)};
   for (auto& channel : values_) channel.assign(static_cast<std::size_t>(nodes), 0.0);

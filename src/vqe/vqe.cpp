@@ -15,9 +15,25 @@
 #include "quantum/histogram.h"
 #include "quantum/mitigation.h"
 #include "quantum/mps.h"
+#include "quantum/tuner.h"
 #include "vqe/exec_time.h"
 
 namespace qdb {
+
+namespace {
+
+bool uses_mps_engine(int num_qubits, const VqeOptions& opt) {
+  return opt.engine == VqeOptions::Engine::Mps ||
+         (opt.engine == VqeOptions::Engine::Auto && num_qubits > 14);
+}
+
+}  // namespace
+
+void resolve_dense_plans(int num_qubits, const VqeOptions& options) {
+  if (uses_mps_engine(num_qubits, options)) return;
+  Tuner::global().plan_for(num_qubits, options.stage1_precision);
+  Tuner::global().plan_for(num_qubits, Precision::f64);
+}
 
 VqeDriver::VqeDriver(const FoldingHamiltonian& hamiltonian, VqeOptions options)
     : h_(hamiltonian), opt_(options) {
@@ -81,8 +97,7 @@ VqeResult VqeDriver::run() const {
   const int nq = h_.num_qubits();
   const EfficientSU2 ansatz(nq, opt_.reps);
 
-  const bool use_mps = opt_.engine == VqeOptions::Engine::Mps ||
-                       (opt_.engine == VqeOptions::Engine::Auto && nq > 14);
+  const bool use_mps = uses_mps_engine(nq, opt_);
 
   Rng rng(opt_.seed);
 

@@ -191,4 +191,10 @@ class VqeDriver {
   VqeOptions opt_;
 };
 
+/// Resolve the autotuner plans that the dense engines of a VqeDriver run
+/// over `num_qubits` with `options` would otherwise resolve on first use
+/// (the stage-1 precision and f64); nothing on the MPS engine.  Lets a
+/// caller settle any tuning before the run shares the cores with other work.
+void resolve_dense_plans(int num_qubits, const VqeOptions& options);
+
 }  // namespace qdb

@@ -2,16 +2,22 @@
 // the durable-record envelope, string helpers, and table rendering.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cfloat>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <limits>
 #include <set>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "common/check.h"
 #include "common/error.h"
 #include "common/json.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/strings.h"
 #include "common/table.h"
@@ -331,6 +337,74 @@ TEST(Table, RendersAlignedColumns) {
 TEST(Table, RejectsWrongArity) {
   Table t({"a", "b"});
   EXPECT_THROW(t.add_row({"only-one"}), PreconditionError);
+}
+
+// --- parallel_for_beside ----------------------------------------------------
+
+TEST(ParallelBeside, SideRunsOnTheCallingThread) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::thread::id side_thread;
+  parallel_for_beside(
+      8, [](std::int64_t) {}, [&] { side_thread = std::this_thread::get_id(); });
+  EXPECT_EQ(side_thread, caller);
+}
+
+TEST(ParallelBeside, EveryBodyIndexRunsExactlyOnce) {
+  for (const std::int64_t n : {0, 1, 3, 6, 64}) {
+    std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
+    int sides = 0;
+    parallel_for_beside(
+        n, [&](std::int64_t i) { hits[static_cast<std::size_t>(i)].fetch_add(1); },
+        [&] { ++sides; });
+    EXPECT_EQ(sides, 1) << n;
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << n;
+  }
+}
+
+TEST(ParallelBeside, LoopsNestedInTheSideTaskRunSerially) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> nested(32);
+  parallel_for_beside(
+      4, [](std::int64_t) {},
+      [&] {
+        parallel_for(32, [&](std::int64_t i) {
+          nested[static_cast<std::size_t>(i)] = std::this_thread::get_id();
+        });
+      });
+  for (const std::thread::id& id : nested) EXPECT_EQ(id, caller);
+}
+
+TEST(ParallelBeside, SideExceptionIsRethrownAfterTheBodyDrains) {
+  constexpr std::int64_t kN = 16;
+  std::atomic<int> done{0};
+  EXPECT_THROW(parallel_for_beside(
+                   kN,
+                   [&](std::int64_t) {
+                     std::this_thread::sleep_for(std::chrono::milliseconds(1));
+                     done.fetch_add(1);
+                   },
+                   [] { throw std::runtime_error("side failed"); }),
+               std::runtime_error);
+  EXPECT_EQ(done.load(), kN);
+}
+
+TEST(ParallelBeside, InsideAParallelRegionEverythingRunsOnTheEnclosingThread) {
+  std::atomic<int> foreign{0};
+  std::atomic<int> bodies{0};
+  parallel_for_threads(2, 2, [&](std::int64_t) {
+    const std::thread::id outer = std::this_thread::get_id();
+    parallel_for_beside(
+        8,
+        [&](std::int64_t) {
+          bodies.fetch_add(1);
+          if (std::this_thread::get_id() != outer) foreign.fetch_add(1);
+        },
+        [&] {
+          if (std::this_thread::get_id() != outer) foreign.fetch_add(1);
+        });
+  });
+  EXPECT_EQ(bodies.load(), 16);
+  EXPECT_EQ(foreign.load(), 0);
 }
 
 TEST(ErrorHelpers, RequireThrowsWithMessage) {

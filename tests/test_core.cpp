@@ -2,10 +2,14 @@
 // evaluation metrics, win-rate accounting, batch runs, and dataset builds.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <utility>
 
 #include "common/error.h"
+#include "common/fault.h"
 #include "core/qdockbank.h"
 
 namespace qdb {
@@ -156,6 +160,80 @@ TEST(Pipeline, BuildDatasetWritesAllGroupsForSubset) {
   EXPECT_TRUE(std::filesystem::exists(root + "/S/3eax/structure.pdb"));
   EXPECT_TRUE(std::filesystem::exists(root + "/M/1e2l/metadata.json"));
   EXPECT_TRUE(std::filesystem::exists(root + "/M/1e2l/docking.json"));
+}
+
+// --- the cold evaluate: VQE beside the imprint's dock ------------------------
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+void expect_same_evaluation(const Evaluation& a, const Evaluation& b) {
+  EXPECT_EQ(a.pdb_id, b.pdb_id);
+  EXPECT_EQ(a.group, b.group);
+  EXPECT_EQ(a.method, b.method);
+  EXPECT_TRUE(same_bits(a.rmsd, b.rmsd)) << a.pdb_id << ": " << a.rmsd << " vs " << b.rmsd;
+  EXPECT_TRUE(same_bits(a.affinity, b.affinity)) << a.pdb_id;
+  EXPECT_TRUE(same_bits(a.mean_affinity, b.mean_affinity)) << a.pdb_id;
+  EXPECT_TRUE(same_bits(a.pose_rmsd_lb, b.pose_rmsd_lb)) << a.pdb_id;
+  EXPECT_TRUE(same_bits(a.pose_rmsd_ub, b.pose_rmsd_ub)) << a.pdb_id;
+}
+
+/// The layers one after the other on a fresh pipeline — reference, ligand,
+/// prediction, docking, RMSD — with nothing overlapped.
+Evaluation evaluate_by_layers(const DatasetEntry& e, Method m) {
+  const Pipeline pipeline(tiny_options());
+  const Structure& reference = pipeline.reference(e);
+  pipeline.ligand_and_site(e);
+  const Prediction pred = pipeline.predict(e, m);
+  const DockingResult docking = pipeline.dock_prediction(e, pred);
+  Evaluation ev;
+  ev.pdb_id = e.pdb_id;
+  ev.group = e.group();
+  ev.method = m;
+  ev.rmsd = ca_rmsd(pred.structure, reference);
+  ev.affinity = docking.best_affinity;
+  ev.mean_affinity = docking.mean_affinity;
+  ev.pose_rmsd_lb = docking.rmsd_lb_mean;
+  ev.pose_rmsd_ub = docking.rmsd_ub_mean;
+  return ev;
+}
+
+TEST(PipelineOverlap, ColdEvaluateMatchesTheLayerChainBitForBit) {
+  const std::pair<const char*, Method> cases[] = {
+      {"6p86", Method::QDock},  // 10 qubits: dense engine
+      {"2qbs", Method::QDock},  // 16 qubits: MPS engine
+      {"1e2l", Method::AF2},    // a surrogate that reads the reference
+  };
+  for (const auto& [id, method] : cases) {
+    const DatasetEntry& e = entry_by_id(id);
+    expect_same_evaluation(Pipeline(tiny_options()).evaluate(e, method),
+                           evaluate_by_layers(e, method));
+  }
+}
+
+TEST(PipelineOverlap, WarmEvaluateMatchesTheColdOne) {
+  const DatasetEntry& e = entry_by_id("6p86");
+  const Pipeline pipeline(tiny_options());
+  const Evaluation cold = pipeline.evaluate(e, Method::QDock);
+  expect_same_evaluation(pipeline.evaluate(e, Method::QDock), cold);
+}
+
+TEST(PipelineOverlap, FaultInTheSideTaskIsTypedAndLeavesThePipelineUsable) {
+  const DatasetEntry& e = entry_by_id("6p86");
+  const Pipeline pipeline(tiny_options());
+  FaultSiteConfig cfg;
+  cfg.trigger_on_nth = 1;
+  FaultInjector::instance().configure("vqe.stage1.evaluate", cfg);
+  {
+    // Armed on this thread only: it fires because the VQE runs here, on
+    // the calling thread, beside the imprint's docking runs.
+    const FaultScope scope("overlap", 1);
+    EXPECT_THROW(pipeline.evaluate(e, Method::QDock), TransientDeviceError);
+  }
+  FaultInjector::instance().clear();
+  expect_same_evaluation(pipeline.evaluate(e, Method::QDock),
+                         Pipeline(tiny_options()).evaluate(e, Method::QDock));
 }
 
 }  // namespace

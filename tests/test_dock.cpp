@@ -160,7 +160,7 @@ TEST(VinaScore, RadiiAndWeights) {
 
 TEST(VinaScore, ContactIsFavourableOverlapIsNot) {
   const Structure rec = test_receptor();
-  const ReceptorGrid grid(type_receptor(rec), 8.0);
+  const NeighbourIndex grid(type_receptor(rec), 8.0);
   const Ligand probe = two_atom_probe();
 
   // Place the probe at increasing distances from the receptor surface along
@@ -186,7 +186,7 @@ TEST(VinaScore, HbondNeedsComplementaryRoles) {
   // A donor probe near a backbone O (acceptor) scores better than a carbon
   // probe at the same spot.
   const Structure rec = test_receptor();
-  const ReceptorGrid grid(type_receptor(rec), 8.0);
+  const NeighbourIndex grid(type_receptor(rec), 8.0);
   // Find a backbone O atom and park the probe at H-bond distance from it.
   Vec3 o_pos;
   for (const Residue& r : rec.residues) {
@@ -220,7 +220,7 @@ TEST(VinaScore, AffinityTorsionPenalty) {
 TEST(VinaScore, GridMatchesBruteForceNeighbourhood) {
   const Structure rec = test_receptor("PWWERYQP");
   const auto typed = type_receptor(rec);
-  const ReceptorGrid grid(typed, 8.0);
+  const NeighbourIndex grid(typed, 8.0);
   Vec3 origin = typed[0].pos;
   for (const ReceptorAtom& a : typed) {
     origin = {std::min(origin.x, a.pos.x), std::min(origin.y, a.pos.y),
@@ -261,9 +261,9 @@ TEST(VinaScore, GridMatchesBruteForceNeighbourhood) {
 
 /// The hashed 27-cell neighbour walk and pair loop the flat index replaced,
 /// kept verbatim as the bit-identity oracle.
-class HashedReceptorGrid {
+class HashedNeighbourIndex {
  public:
-  explicit HashedReceptorGrid(std::vector<ReceptorAtom> atoms)
+  explicit HashedNeighbourIndex(std::vector<ReceptorAtom> atoms)
       : atoms_(std::move(atoms)), cell_(8.0) {
     origin_ = atoms_[0].pos;
     for (const ReceptorAtom& a : atoms_) {
@@ -355,8 +355,8 @@ TEST(VinaScore, FlatIndexMatchesHashedWalkBitForBit) {
     SCOPED_TRACE(id);
     const std::vector<ReceptorAtom> typed =
         type_receptor(reference_structure(entry_by_id(id)));
-    const ReceptorGrid flat(typed, 8.0);
-    const HashedReceptorGrid hashed(typed);
+    const NeighbourIndex flat(typed, 8.0);
+    const HashedNeighbourIndex hashed(typed);
     const Ligand ligand = generate_ligand(id);
     Vec3 lo = typed[0].pos, hi = typed[0].pos;
     for (const ReceptorAtom& a : typed) {
@@ -414,7 +414,7 @@ TEST(VinaScore, FlatIndexMatchesHashedWalkBitForBit) {
 
 TEST(VinaScore, FarPointContributesExactlyZero) {
   const Structure rec = test_receptor();
-  const ReceptorGrid grid(type_receptor(rec), 8.0);
+  const NeighbourIndex grid(type_receptor(rec), 8.0);
   const Ligand probe = two_atom_probe();
   for (const Vec3& far : {Vec3{1e12, 0, 0}, Vec3{0, -1e12, 0}, Vec3{0, 0, 1e300}}) {
     Pose p = probe.neutral_pose();
@@ -434,7 +434,7 @@ TEST(VinaScore, FarPointContributesExactlyZero) {
 
 TEST(VinaScore, NonFiniteCoordinateGivesNaN) {
   const Structure rec = test_receptor();
-  const ReceptorGrid grid(type_receptor(rec), 8.0);
+  const NeighbourIndex grid(type_receptor(rec), 8.0);
   const Ligand probe = two_atom_probe();
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <set>
 #include <string>
@@ -17,10 +18,12 @@
 #include "common/error.h"
 #include "common/json.h"
 #include "common/parallel.h"
+#include "core/qdockbank.h"
 #include "obs/flight.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "quantum/tuner.h"
 
 namespace qdb::obs {
 namespace {
@@ -515,7 +518,8 @@ TEST_F(TraceTest, SpansWithoutAnyContextCarryNoIds) {
   ASSERT_EQ(session.events().size(), 1u);
   EXPECT_EQ(session.events()[0].span_id, 0u);
   EXPECT_EQ(session.events()[0].trace_hi | session.events()[0].trace_lo, 0u);
-  const Json& ev = session.to_chrome_json().at("traceEvents").as_array()[0];
+  const Json doc = session.to_chrome_json();
+  const Json& ev = doc.at("traceEvents").as_array()[0];
   EXPECT_FALSE(ev.contains("trace"));
   EXPECT_FALSE(ev.contains("span"));
   EXPECT_FALSE(ev.contains("parent"));
@@ -581,6 +585,104 @@ TEST_F(TraceTest, ChromeJsonCarriesProcessIdentityAndIds) {
   EXPECT_EQ(ev.at("trace").as_string(), trace_id_hex(remote));
   EXPECT_EQ(ev.at("span").as_string().size(), 16u);
   EXPECT_EQ(ev.at("parent").as_string(), span_id_hex(remote.span_id));
+}
+
+// --- entry spans of a cold Pipeline::evaluate ------------------------------
+
+PipelineOptions small_pipeline_options() {
+  PipelineOptions o = PipelineOptions::bench_profile();
+  o.vqe.max_evaluations = 20;
+  o.vqe.shots_per_eval = 128;
+  o.vqe.final_shots = 1000;
+  o.docking.num_runs = 4;
+  o.docking.mc_steps = 300;
+  return o;
+}
+
+/// Trace one cold evaluate of `pdb_id` under a root context.
+std::vector<TraceEvent> traced_cold_evaluate(const char* pdb_id) {
+  const Pipeline pipeline(small_pipeline_options());
+  TraceSession session;
+  session.start();
+  {
+    const ScopedTraceContext root(derive_root_context(17));
+    pipeline.evaluate(entry_by_id(pdb_id), Method::QDock);
+  }
+  session.stop();
+  return session.events();
+}
+
+const TraceEvent& only_event(const std::vector<TraceEvent>& events, const std::string& name) {
+  const TraceEvent* found = nullptr;
+  for (const TraceEvent& ev : events) {
+    if (ev.name != name) continue;
+    EXPECT_EQ(found, nullptr) << "more than one " << name;
+    found = &ev;
+  }
+  if (found == nullptr) throw Error("no " + name + " span");
+  return *found;
+}
+
+/// The imprint's dock.run: the one whose parent is pipeline.imprint.
+const TraceEvent& imprint_dock(const std::vector<TraceEvent>& events) {
+  const std::uint64_t imprint = only_event(events, "pipeline.imprint").span_id;
+  for (const TraceEvent& ev : events) {
+    if (ev.name == "dock.run" && ev.parent_id == imprint) return ev;
+  }
+  throw Error("no dock.run under pipeline.imprint");
+}
+
+TEST_F(TraceTest, ColdEvaluateParentsTheVqeUnderTheEntryNotTheImprintDock) {
+  const std::vector<TraceEvent> events = traced_cold_evaluate("6p86");
+  const TraceEvent& entry = only_event(events, "pipeline.evaluate");
+  EXPECT_EQ(entry.parent_id, 0u);  // a root span of the installed trace
+  for (const char* child : {"pipeline.reference", "pipeline.imprint", "pipeline.rmsd", "vqe.run"}) {
+    EXPECT_EQ(only_event(events, child).parent_id, entry.span_id) << child;
+  }
+  // Two dock runs: the imprint's, and the prediction's under the entry.
+  const TraceEvent& imprint = imprint_dock(events);
+  int docks = 0;
+  for (const TraceEvent& ev : events) {
+    if (ev.name != "dock.run") continue;
+    ++docks;
+    if (&ev != &imprint) {
+      EXPECT_EQ(ev.parent_id, entry.span_id);
+    }
+  }
+  EXPECT_EQ(docks, 2);
+  // The VQE ran inside the imprint's dock.run on the same thread.
+  const TraceEvent& vqe = only_event(events, "vqe.run");
+  EXPECT_EQ(vqe.tid, imprint.tid);
+  EXPECT_GE(vqe.ts_us, imprint.ts_us);
+}
+
+TEST_F(TraceTest, ColdEvaluateTunesBeforeTheImprintDock) {
+  const std::filesystem::path cache =
+      std::filesystem::path(testing::TempDir()) / "qdb_obs_cold_tuner.json";
+  std::filesystem::remove(cache);
+  const char* prior = std::getenv("QDB_TUNER_CACHE");
+  const std::string saved = prior != nullptr ? prior : "";
+  setenv("QDB_TUNER_CACHE", cache.c_str(), 1);
+  Tuner::global().clear_memory();
+
+  const std::vector<TraceEvent> events = traced_cold_evaluate("6p86");  // 10 qubits
+
+  if (prior != nullptr) {
+    setenv("QDB_TUNER_CACHE", saved.c_str(), 1);
+  } else {
+    unsetenv("QDB_TUNER_CACHE");
+  }
+  Tuner::global().clear_memory();
+  std::filesystem::remove(cache);
+
+  const TraceEvent& dock = imprint_dock(events);
+  int tunes = 0;
+  for (const TraceEvent& ev : events) {
+    if (ev.name != "kernel.tuner.tune") continue;
+    ++tunes;
+    EXPECT_LE(ev.ts_us + ev.dur_us, dock.ts_us);
+  }
+  EXPECT_EQ(tunes, 2);  // stage-1 f32 and the f64 of stage 2
 }
 
 // --- flight recorder (ISSUE 10) ---------------------------------------------

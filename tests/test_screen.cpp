@@ -137,7 +137,7 @@ class GridTest : public ::testing::Test {
   static void SetUpTestSuite() {
     receptor_ = std::make_unique<Structure>(test_receptor());
     grid_ = std::make_unique<ReceptorGrid>(*receptor_, GridParams{});
-    rescoring_ = std::make_unique<qdb::ReceptorGrid>(type_receptor(*receptor_));
+    rescoring_ = std::make_unique<qdb::NeighbourIndex>(type_receptor(*receptor_));
   }
   static void TearDownTestSuite() {
     rescoring_.reset();
@@ -147,12 +147,12 @@ class GridTest : public ::testing::Test {
 
   static std::unique_ptr<Structure> receptor_;
   static std::unique_ptr<ReceptorGrid> grid_;
-  static std::unique_ptr<qdb::ReceptorGrid> rescoring_;
+  static std::unique_ptr<qdb::NeighbourIndex> rescoring_;
 };
 
 std::unique_ptr<Structure> GridTest::receptor_;
 std::unique_ptr<ReceptorGrid> GridTest::grid_;
-std::unique_ptr<qdb::ReceptorGrid> GridTest::rescoring_;
+std::unique_ptr<qdb::NeighbourIndex> GridTest::rescoring_;
 
 TEST_F(GridTest, NodeValuesReproduceVinaScoreBitForBit) {
   // The exactness contract: at a grid NODE, the stored channel equals the
