@@ -65,7 +65,8 @@ inline void emit_bench_json(const std::string& name,
 /// destruction, drains the session and prints the per-span summary table
 /// (count / total / self time) below the bench's own output.  Benches that
 /// also call emit_bench_json get the same spans in their JSON via the
-/// registry mirror.
+/// registry mirror.  It installs a root trace context on the constructing
+/// thread, because self time is charged by parent span id.
 class ScopedBenchTrace {
  public:
   ScopedBenchTrace() { session_.start(); }
@@ -80,6 +81,7 @@ class ScopedBenchTrace {
 
  private:
   obs::TraceSession session_;
+  const obs::ScopedTraceContext root_{obs::derive_root_context(1)};
 };
 
 inline void header(const std::string& title) {

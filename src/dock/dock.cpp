@@ -80,15 +80,22 @@ RunOutput run_search(const NeighbourIndex& grid, const Ligand& ligand, const Box
   span.set_attr("run", std::to_string(run_index));
   Rng rng(params.seed + static_cast<std::uint64_t>(run_index) * 0x9e3779b9ULL);
 
-  auto score = [&](const Pose& p) {
-    return affinity_from_energy(
-        intermolecular_energy(grid, ligand, ligand.conformation(p), params.weights),
-        ligand.num_torsions(), params.weights);
+  // Every pose is scored through one scorer, and a local-search candidate
+  // against the incumbent it was derived from: a torsion move leaves most
+  // atoms in place, and their pair terms are re-added rather than recomputed
+  // (DESIGN.md §3.2).  `incumbent` holds the terms of the pose being
+  // polished; `trial` is the buffer a candidate is scored into.
+  IncrementalScorer scorer(grid, ligand, params.weights);
+  ScoredConformation incumbent, trial;
+  auto score = [&](const Pose& p, const ScoredConformation* against, ScoredConformation& out) {
+    return affinity_from_energy(scorer.score(ligand.conformation(p), against, out),
+                                ligand.num_torsions(), params.weights);
   };
 
   // Pattern-search local optimisation over the pose coordinates
   // (translation, orientation, torsions) with a shrinking step — the local
-  // polish Vina performs after every mutation (its BFGS stage).
+  // polish Vina performs after every mutation (its BFGS stage).  `e` is the
+  // affinity of `p`, whose scored conformation is in `incumbent`.
   auto local_optimize = [&](Pose p, double e, int sweeps) {
     double step_t = 0.6;   // Angstrom
     double step_r = 0.25;  // radians
@@ -99,10 +106,11 @@ RunOutput run_search(const NeighbourIndex& grid, const Ligand& ligand, const Box
         cand.translation.x = std::clamp(cand.translation.x, box.lo.x, box.hi.x);
         cand.translation.y = std::clamp(cand.translation.y, box.lo.y, box.hi.y);
         cand.translation.z = std::clamp(cand.translation.z, box.lo.z, box.hi.z);
-        const double ce = score(cand);
+        const double ce = score(cand, &incumbent, trial);
         if (ce < e - 1e-9) {
           e = ce;
           p = std::move(cand);
+          std::swap(incumbent, trial);
           improved = true;
           return true;
         }
@@ -142,11 +150,13 @@ RunOutput run_search(const NeighbourIndex& grid, const Ligand& ligand, const Box
 
   // Iterated local search (the Vina algorithm): each step mutates the
   // incumbent and locally optimises the mutant before the Metropolis test.
+  // A mutant moves every atom, so it is scored without reuse, and that
+  // score starts its local optimisation.
   const int outer_steps = std::max(1, params.mc_steps / 10);
   const bool near_rest = (run_index % 2 == 0);
 
   Pose current = random_pose(box, ligand.num_torsions(), rng, near_rest);
-  double current_e = score(current);
+  double current_e = score(current, nullptr, incumbent);
   std::tie(current, current_e) = local_optimize(current, current_e, 4);
 
   std::vector<ScoredPose> pool;
@@ -159,7 +169,7 @@ RunOutput run_search(const NeighbourIndex& grid, const Ligand& ligand, const Box
     const bool jump = rng.bernoulli(0.15);  // occasional restarts
     Pose cand = jump ? random_pose(box, ligand.num_torsions(), rng, near_rest)
                      : perturb(current, box, 1.2, rng);
-    double cand_e = score(cand);
+    double cand_e = score(cand, nullptr, incumbent);
     std::tie(cand, cand_e) = local_optimize(std::move(cand), cand_e, 4);
     const double delta = cand_e - current_e;
     if (delta <= 0.0 || rng.uniform() < std::exp(-delta / params.temperature)) {
@@ -169,14 +179,21 @@ RunOutput run_search(const NeighbourIndex& grid, const Ligand& ligand, const Box
     }
   }
 
-  // Thorough polish of the run's best pose.
+  // Thorough polish of the run's best pose, rescored once for its terms.
   std::sort(pool.begin(), pool.end(),
             [](const ScoredPose& a, const ScoredPose& b) { return a.affinity < b.affinity; });
-  auto [best, best_e] =
-      local_optimize(pool.front().pose, pool.front().affinity, params.refine_steps / 5);
+  const double polish_e = score(pool.front().pose, nullptr, incumbent);
+  auto [best, best_e] = local_optimize(pool.front().pose, polish_e, params.refine_steps / 5);
   remember(best, best_e);
   std::sort(pool.begin(), pool.end(),
             [](const ScoredPose& a, const ScoredPose& b) { return a.affinity < b.affinity; });
+
+  static obs::Counter& score_calls = obs::counter("dock.score_calls");
+  static obs::Counter& fresh_pairs = obs::counter("dock.pairs.fresh");
+  static obs::Counter& reused_pairs = obs::counter("dock.pairs.reused");
+  score_calls.add(scorer.calls());
+  fresh_pairs.add(scorer.fresh_pairs());
+  reused_pairs.add(scorer.reused_pairs());
 
   // Deduplicate near-identical poses (within 1 A ub-RMSD of a kept pose).
   RunOutput out;
@@ -251,10 +268,15 @@ DockingResult dock(const Structure& receptor, const Ligand& ligand,
     box = Box{params.box_center - half, params.box_center + half};
   }
 
+  // Each run's dock.search span parents under this dock.run on whichever
+  // thread runs it; the run index is the branch salt, so sibling ids never
+  // collide across threads.
+  const obs::TraceContext here = obs::current_trace_context();
   std::vector<RunOutput> outputs(static_cast<std::size_t>(params.num_runs));
   parallel_for_beside(
       params.num_runs,
       [&](std::int64_t r) {
+        const obs::ScopedTraceContext scope(here, static_cast<std::uint64_t>(r) + 1);
         outputs[static_cast<std::size_t>(r)] =
             run_search(grid, ligand, box, params, static_cast<int>(r));
       },

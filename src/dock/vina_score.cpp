@@ -1,6 +1,7 @@
 #include "dock/vina_score.h"
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 
 #include "common/check.h"
@@ -142,13 +143,22 @@ double slope_step(double x, double good, double bad) {
   return (bad - x) / (bad - good);
 }
 
+bool all_finite(const Vec3& p) {
+  return std::isfinite(p.x) && std::isfinite(p.y) && std::isfinite(p.z);
+}
+
+bool same_bits(const Vec3& a, const Vec3& b) {
+  return std::memcmp(&a.x, &b.x, sizeof a.x) == 0 && std::memcmp(&a.y, &b.y, sizeof a.y) == 0 &&
+         std::memcmp(&a.z, &b.z, sizeof a.z) == 0;
+}
+
 }  // namespace
 
-double accumulate_point_energy(const NeighbourIndex& grid, const Vec3& p, const LigandAtom& atom,
-                               double total, const VinaWeights& w) {
-  if (!(std::isfinite(p.x) && std::isfinite(p.y) && std::isfinite(p.z))) {
-    return std::numeric_limits<double>::quiet_NaN();
-  }
+/// The pair-sum kernel's one body; kRecord = false is the plain sum.
+template <bool kRecord>
+double accumulate_pairs(const NeighbourIndex& grid, const Vec3& p, const LigandAtom& atom,
+                        double total, const VinaWeights& w, std::vector<double>* terms) {
+  if (!all_finite(p)) return std::numeric_limits<double>::quiet_NaN();
   const NeighbourIndex::Run* runs = grid.runs_at(p);
   if (runs == nullptr) return total;
   const double cutoff2 = grid.cutoff_ * grid.cutoff_;
@@ -179,10 +189,21 @@ double accumulate_point_energy(const NeighbourIndex& grid, const Vec3& p, const 
       if (ds < 0.0) e += w.repulsion * ds * ds;
       if ((rf[k] & hydrophobic) != 0) e += w.hydrophobic * slope_step(ds, 0.5, 1.5);
       if ((rf[k] & hbond) != 0) e += w.hbond * slope_step(ds, -0.7, 0.0);
+      if constexpr (kRecord) terms->push_back(e);
       total += e;
     }
   }
   return total;
+}
+
+double accumulate_point_energy(const NeighbourIndex& grid, const Vec3& p, const LigandAtom& atom,
+                               double total, const VinaWeights& w) {
+  return accumulate_pairs<false>(grid, p, atom, total, w, nullptr);
+}
+
+double accumulate_point_energy(const NeighbourIndex& grid, const Vec3& p, const LigandAtom& atom,
+                               double total, const VinaWeights& w, std::vector<double>& terms) {
+  return accumulate_pairs<true>(grid, p, atom, total, w, &terms);
 }
 
 double intermolecular_energy(const NeighbourIndex& grid, const Ligand& ligand,
@@ -195,6 +216,47 @@ double intermolecular_energy(const NeighbourIndex& grid, const Ligand& ligand,
     if (la.element == 'H') continue;
     total = accumulate_point_energy(grid, coords[li], la, total, w);
   }
+  return total;
+}
+
+IncrementalScorer::IncrementalScorer(const NeighbourIndex& grid, const Ligand& ligand,
+                                     const VinaWeights& w)
+    : grid_(grid), ligand_(ligand), w_(w) {}
+
+double IncrementalScorer::score(std::vector<Vec3> coords, const ScoredConformation* incumbent,
+                                ScoredConformation& out) {
+  QDB_REQUIRE(coords.size() == static_cast<std::size_t>(ligand_.num_atoms()),
+              "coords/ligand mismatch");
+  QDB_REQUIRE(incumbent != &out, "incremental score: incumbent aliases the output");
+  QDB_REQUIRE(incumbent == nullptr || incumbent->coords.size() == coords.size(),
+              "incremental score: incumbent of another ligand");
+  out.coords = std::move(coords);
+  const std::size_t n = out.coords.size();
+  out.offsets.resize(n + 1);
+  out.terms.clear();
+  double total = 0.0;
+  for (std::size_t li = 0; li < n; ++li) {
+    out.offsets[li] = out.terms.size();
+    const LigandAtom& la = ligand_.atoms()[li];
+    if (la.element == 'H') continue;  // unscored, like intermolecular_energy
+    const Vec3& p = out.coords[li];
+    if (incumbent != nullptr && all_finite(p) && same_bits(p, incumbent->coords[li])) {
+      // Equal inputs gave these terms; adding them in the same order gives
+      // the same sum.
+      const double* begin = incumbent->terms.data() + incumbent->offsets[li];
+      const double* end = incumbent->terms.data() + incumbent->offsets[li + 1];
+      for (const double* t = begin; t != end; ++t) total += *t;
+      out.terms.insert(out.terms.end(), begin, end);
+      reused_ += static_cast<std::uint64_t>(end - begin);
+    } else {
+      const std::size_t before = out.terms.size();
+      total = accumulate_point_energy(grid_, p, la, total, w_, out.terms);
+      fresh_ += out.terms.size() - before;
+    }
+  }
+  out.offsets[n] = out.terms.size();
+  ++calls_;
+  out.energy = total;
   return total;
 }
 

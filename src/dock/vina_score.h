@@ -86,9 +86,10 @@ class NeighbourIndex {
   }
 
  private:
-  friend double accumulate_point_energy(const NeighbourIndex& grid, const Vec3& p,
-                                        const LigandAtom& atom, double total,
-                                        const VinaWeights& w);
+  template <bool kRecord>
+  friend double accumulate_pairs(const NeighbourIndex& grid, const Vec3& p,
+                                 const LigandAtom& atom, double total, const VinaWeights& w,
+                                 std::vector<double>* terms);
 
   /// Half-open range of sorted atom slots.
   struct Run {
@@ -135,11 +136,57 @@ class NeighbourIndex {
 double accumulate_point_energy(const NeighbourIndex& grid, const Vec3& p, const LigandAtom& atom,
                                double total, const VinaWeights& w = VinaWeights{});
 
+/// The same kernel, also appending each in-cutoff pair's term to `terms` in
+/// walk order: re-adding them to the incoming `total` one by one with
+/// `total += term` gives the returned sum bit for bit.  Appends nothing for
+/// a non-finite `p` (whose NaN no term list can reproduce) or a point
+/// outside the box.
+double accumulate_point_energy(const NeighbourIndex& grid, const Vec3& p, const LigandAtom& atom,
+                               double total, const VinaWeights& w, std::vector<double>& terms);
+
 /// Intermolecular energy of ligand coordinates against the receptor index;
 /// NaN if a heavy atom has a non-finite coordinate.
 double intermolecular_energy(const NeighbourIndex& grid, const Ligand& ligand,
                              const std::vector<Vec3>& coords,
                              const VinaWeights& w = VinaWeights{});
+
+/// A ligand conformation scored pair by pair: its coordinates, the
+/// in-cutoff pair terms of every atom in one flat array (atom i's are
+/// terms[offsets[i], offsets[i + 1]), empty for hydrogens), and the
+/// intermolecular energy they sum to.
+struct ScoredConformation {
+  std::vector<Vec3> coords;
+  std::vector<std::size_t> offsets;
+  std::vector<double> terms;
+  double energy = 0.0;
+};
+
+/// Scores conformations of one ligand incrementally against an incumbent
+/// (DESIGN.md §3.2).  Each heavy atom whose coordinates are finite and bit
+/// for bit the incumbent's re-adds the incumbent's recorded terms; every
+/// other heavy atom walks the receptor index.  Atoms are taken in index
+/// order and every term is added with `total += term`, so each energy is
+/// intermolecular_energy's, bit for bit.  One scorer per thread.
+class IncrementalScorer {
+ public:
+  IncrementalScorer(const NeighbourIndex& grid, const Ligand& ligand,
+                    const VinaWeights& w = VinaWeights{});
+
+  /// Score `coords` into `out` and return its energy.  A null `incumbent`
+  /// reuses nothing; it must not alias `out`.
+  double score(std::vector<Vec3> coords, const ScoredConformation* incumbent,
+               ScoredConformation& out);
+
+  std::uint64_t calls() const { return calls_; }
+  std::uint64_t fresh_pairs() const { return fresh_; }    ///< terms the kernel computed
+  std::uint64_t reused_pairs() const { return reused_; }  ///< terms re-added from an incumbent
+
+ private:
+  const NeighbourIndex& grid_;
+  const Ligand& ligand_;
+  VinaWeights w_;
+  std::uint64_t calls_ = 0, fresh_ = 0, reused_ = 0;
+};
 
 /// Affinity (kcal/mol): intermolecular energy scaled by the torsion penalty.
 double affinity_from_energy(double inter_energy, int num_torsions,

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
+#include <tuple>
 
 #include "common/check.h"
 #include "common/error.h"
@@ -226,56 +228,51 @@ TraceSession::ThreadBuffer* TraceSession::buffer_for_this_thread() {
   return buffers_.back().get();
 }
 
-std::vector<SpanSummary> TraceSession::summary() const {
-  // Direct-child attribution: events are sorted (tid, ts, depth), so a
-  // per-thread ancestor stack finds each event's immediate parent in one
-  // pass; a child's duration is charged against the parent's self time.
-  std::vector<std::uint64_t> child_sum(drained_.size(), 0);
-  std::vector<std::size_t> stack;
-  int current_tid = -1;
-  for (std::size_t i = 0; i < drained_.size(); ++i) {
-    const TraceEvent& e = drained_[i];
-    if (e.tid != current_tid) {
-      stack.clear();
-      current_tid = e.tid;
-    }
-    while (!stack.empty()) {
-      const TraceEvent& top = drained_[stack.back()];
-      const bool is_ancestor =
-          top.depth < e.depth && e.ts_us < top.ts_us + top.dur_us;
-      if (is_ancestor) break;
-      stack.pop_back();
-    }
-    if (!stack.empty() && e.depth == drained_[stack.back()].depth + 1) {
-      child_sum[stack.back()] += e.dur_us;
-    }
-    stack.push_back(i);
+std::vector<SpanSummary> summarize_spans(const std::vector<TraceEvent>& events) {
+  // Each event's index by (trace, span id); the first wins should two ids
+  // ever collide.
+  std::map<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>, std::size_t> by_id;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const TraceEvent& e = events[i];
+    if (e.span_id != 0) by_id.emplace(std::tuple{e.trace_hi, e.trace_lo, e.span_id}, i);
+  }
+  // Each direct child's interval, clipped to its parent's.
+  using Interval = std::pair<std::uint64_t, std::uint64_t>;
+  std::vector<std::vector<Interval>> children(events.size());
+  for (const TraceEvent& e : events) {
+    if (e.parent_id == 0) continue;
+    const auto parent = by_id.find(std::tuple{e.trace_hi, e.trace_lo, e.parent_id});
+    if (parent == by_id.end()) continue;
+    const TraceEvent& p = events[parent->second];
+    const std::uint64_t begin = std::max(e.ts_us, p.ts_us);
+    const std::uint64_t end = std::min(e.ts_us + e.dur_us, p.ts_us + p.dur_us);
+    if (begin < end) children[parent->second].emplace_back(begin, end);
   }
 
-  std::vector<SpanSummary> rows;
-  for (std::size_t i = 0; i < drained_.size(); ++i) {
-    const TraceEvent& e = drained_[i];
-    SpanSummary* row = nullptr;
-    for (SpanSummary& r : rows) {
-      if (r.name == e.name) {
-        row = &r;
-        break;
-      }
+  std::map<std::string, SpanSummary> rows;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const TraceEvent& e = events[i];
+    std::vector<Interval>& spans = children[i];
+    std::sort(spans.begin(), spans.end());
+    std::uint64_t covered = 0, reach = 0;
+    for (const auto& [begin, end] : spans) {
+      const std::uint64_t from = std::max(begin, reach);
+      if (end > from) covered += end - from;
+      reach = std::max(reach, end);
     }
-    if (row == nullptr) {
-      rows.push_back(SpanSummary{e.name, 0, 0, 0});
-      row = &rows.back();
-    }
-    row->count += 1;
-    row->total_us += e.dur_us;
-    // Clamp: a child's independently measured end can overshoot its
-    // parent's by a microsecond of rounding.
-    row->self_us += e.dur_us - std::min(e.dur_us, child_sum[i]);
+    SpanSummary& row = rows[e.name];
+    row.name = e.name;
+    row.count += 1;
+    row.total_us += e.dur_us;
+    row.self_us += e.dur_us - covered;  // covered <= dur: children are clipped
   }
-  std::sort(rows.begin(), rows.end(),
-            [](const SpanSummary& a, const SpanSummary& b) { return a.name < b.name; });
-  return rows;
+  std::vector<SpanSummary> out;
+  out.reserve(rows.size());
+  for (auto& [name, row] : rows) out.push_back(std::move(row));
+  return out;
 }
+
+std::vector<SpanSummary> TraceSession::summary() const { return summarize_spans(drained_); }
 
 Json TraceSession::to_chrome_json() const {
   Json events = Json::array();

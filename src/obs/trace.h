@@ -25,8 +25,9 @@
 //   to_chrome_json()  — Chrome trace_event JSON ("X" complete events),
 //                       loadable in chrome://tracing and Perfetto
 //   summary()/summary_table() — per-span-name count / total / self time
-//                       (self = total minus direct children), the table
-//                       benches print
+//                       (self = duration minus the union of the direct
+//                       children's intervals, children found by parent id),
+//                       the table benches print
 //
 // Distributed tracing (ISSUE 10): every span additionally carries a 128-bit
 // trace id and a 64-bit span id, derived deterministically from the seeded
@@ -150,8 +151,16 @@ struct SpanSummary {
   std::string name;
   std::uint64_t count = 0;
   std::uint64_t total_us = 0;  ///< sum of durations
-  std::uint64_t self_us = 0;   ///< total minus time spent in direct children
+  std::uint64_t self_us = 0;   ///< sum of each event's wall time outside its direct children
 };
+
+/// Per-span-name aggregation of `events`, sorted by name.  An event's
+/// direct children are the events of the same trace whose parent id is its
+/// span id, on any thread.  Its self time is its duration minus the union
+/// of its children's intervals clipped to its own, so children that run
+/// concurrently on pool threads are subtracted once.  An event recorded
+/// without a trace context has no span id, so nothing is charged to it.
+std::vector<SpanSummary> summarize_spans(const std::vector<TraceEvent>& events);
 
 class TraceSession {
  public:
@@ -177,7 +186,7 @@ class TraceSession {
   /// Drained events, sorted by (tid, ts, depth).  Valid after stop().
   const std::vector<TraceEvent>& events() const { return drained_; }
 
-  /// Per-span-name aggregation (sorted by name).  Valid after stop().
+  /// summarize_spans(events()).  Valid after stop().
   std::vector<SpanSummary> summary() const;
 
   /// Chrome trace_event JSON document:

@@ -6,12 +6,14 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <set>
 #include <unordered_map>
 #include <utility>
 
 #include "common/error.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "data/reference.h"
 #include "dock/dock.h"
@@ -19,6 +21,7 @@
 #include "dock/vina_score.h"
 #include "lattice/lattice.h"
 #include "lattice/solver.h"
+#include "obs/metrics.h"
 #include "structure/protonate.h"
 #include "structure/reconstruct.h"
 
@@ -412,6 +415,140 @@ TEST(VinaScore, FlatIndexMatchesHashedWalkBitForBit) {
   }
 }
 
+/// `base` with a hydrogen after every third heavy atom, riding the same
+/// torsions as its heavy atom, so hydrogens sit between scored atoms.
+Ligand with_hydrogens(const Ligand& base) {
+  std::vector<LigandAtom> atoms;
+  std::vector<int> new_index;
+  std::vector<std::pair<int, int>> riders;  // (hydrogen, its heavy atom), new indices
+  for (std::size_t i = 0; i < base.atoms().size(); ++i) {
+    new_index.push_back(static_cast<int>(atoms.size()));
+    atoms.push_back(base.atoms()[i]);
+    if (i % 3 != 2) continue;
+    LigandAtom h;
+    h.name = "H" + std::to_string(i);
+    h.element = 'H';
+    h.local_pos = base.atoms()[i].local_pos + Vec3{1.0, 0.0, 0.0};
+    riders.emplace_back(static_cast<int>(atoms.size()), new_index.back());
+    atoms.push_back(h);
+  }
+  std::vector<TorsionBond> torsions = base.torsions();
+  for (TorsionBond& t : torsions) {
+    t.axis_a = new_index[static_cast<std::size_t>(t.axis_a)];
+    t.axis_b = new_index[static_cast<std::size_t>(t.axis_b)];
+    for (int& m : t.moved) m = new_index[static_cast<std::size_t>(m)];
+    const std::vector<int> heavy_moved = t.moved;
+    for (const auto& [h, heavy] : riders) {
+      if (std::find(heavy_moved.begin(), heavy_moved.end(), heavy) != heavy_moved.end()) {
+        t.moved.push_back(h);
+      }
+    }
+  }
+  return Ligand(std::move(atoms), std::move(torsions), base.name() + "+H");
+}
+
+TEST(VinaScore, ReuseScorerMatchesFreshBitForBit) {
+  // Seeded chains of local-search-like moves on reference receptors of an
+  // S, an M and an L entry; every incremental energy must be the fresh
+  // intermolecular_energy by bit pattern.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const char* id : {"6p86", "2qbs", "4jpy"}) {
+    const std::vector<ReceptorAtom> typed =
+        type_receptor(reference_structure(entry_by_id(id)));
+    const NeighbourIndex grid(typed, 8.0);
+    Vec3 lo = typed[0].pos, hi = typed[0].pos;
+    for (const ReceptorAtom& a : typed) {
+      lo = {std::min(lo.x, a.pos.x), std::min(lo.y, a.pos.y), std::min(lo.z, a.pos.z)};
+      hi = {std::max(hi.x, a.pos.x), std::max(hi.y, a.pos.y), std::max(hi.z, a.pos.z)};
+    }
+    const Ligand plain = generate_ligand(id);
+    ASSERT_GT(plain.num_torsions(), 0);
+    for (const Ligand& ligand : {plain, with_hydrogens(plain)}) {
+      SCOPED_TRACE(std::string(id) + " " + ligand.name());
+      std::uint64_t state = fnv1a(ligand.name());
+      auto uniform = [&]() { return static_cast<double>(splitmix64(state) >> 11) * 0x1.0p-53; };
+      auto below = [&](std::size_t n) { return static_cast<std::size_t>(splitmix64(state) % n); };
+
+      IncrementalScorer scorer(grid, ligand);
+      ScoredConformation incumbent, trial;
+      // Start inside the receptor box; the jumps below carry the ligand
+      // partly or wholly outside the index box and back.
+      Pose pose = ligand.neutral_pose();
+      pose.translation = (lo + hi) * 0.5;
+      std::vector<Vec3> coords = ligand.conformation(pose);
+      EXPECT_EQ(bits(scorer.score(coords, nullptr, incumbent)),
+                bits(intermolecular_energy(grid, ligand, coords)));
+      for (int step = 0; step < 200; ++step) {
+        Pose cand = pose;
+        const std::size_t kind = below(4);
+        if (kind == 0 || kind == 3) {  // single torsion (the common move)
+          cand.torsions[below(cand.torsions.size())] += (2.0 * uniform() - 1.0) * 0.5;
+        }
+        if (kind == 1 && uniform() < 0.2) {  // rigid: a jump over the box grown by 12 A
+          cand.translation = {lo.x - 12.0 + uniform() * (hi.x - lo.x + 24.0),
+                              lo.y - 12.0 + uniform() * (hi.y - lo.y + 24.0),
+                              lo.z - 12.0 + uniform() * (hi.z - lo.z + 24.0)};
+        } else if (kind == 1 || kind == 3) {  // rigid: a small shift
+          cand.translation += Vec3{(2.0 * uniform() - 1.0) * 0.6, (2.0 * uniform() - 1.0) * 0.6,
+                                   (2.0 * uniform() - 1.0) * 0.6};
+        }
+        if (kind == 2) {  // rigid: rotation
+          cand.orientation = (Quat::from_axis_angle({uniform(), uniform(), 1.0}, 0.25) *
+                              cand.orientation).normalized();
+        }
+        coords = ligand.conformation(cand);
+        const double fresh = intermolecular_energy(grid, ligand, coords);
+        ASSERT_EQ(bits(scorer.score(coords, &incumbent, trial)), bits(fresh)) << "step " << step;
+        if (uniform() < 0.4) {
+          std::swap(incumbent, trial);
+          pose = cand;
+        }
+      }
+      EXPECT_GT(scorer.reused_pairs(), 0u);
+      EXPECT_GT(scorer.fresh_pairs(), 0u);
+      EXPECT_EQ(scorer.calls(), 201u);
+
+      // Wholly outside the index box, then a torsion move out there (atoms
+      // outside reused as empty ranges), then back into the receptor.
+      Pose far = pose;
+      far.translation = hi + Vec3{1e4, 0.0, 0.0};
+      for (int k = 0; k < 2; ++k) {
+        coords = ligand.conformation(far);
+        EXPECT_EQ(bits(scorer.score(coords, &incumbent, trial)), bits(0.0));
+        std::swap(incumbent, trial);
+        far.torsions[0] += 0.3;
+      }
+      far.translation = (lo + hi) * 0.5;
+      coords = ligand.conformation(far);
+      EXPECT_EQ(bits(scorer.score(coords, &incumbent, trial)),
+                bits(intermolecular_energy(grid, ligand, coords)));
+
+      // Back near the receptor for the non-finite cases, so every heavy atom
+      // has terms to lose.
+      pose.translation = (lo + hi) * 0.5;
+      coords = ligand.conformation(pose);
+      scorer.score(coords, nullptr, incumbent);
+      std::size_t heavy = 0;
+      while (ligand.atoms()[heavy].element == 'H') ++heavy;
+      std::vector<Vec3> broken = coords;
+      broken[heavy].y = nan;
+      // NaN both ways: into a NaN conformation, and again from it with the
+      // same NaN atom, which must be recomputed, not re-added as no terms.
+      EXPECT_EQ(bits(scorer.score(broken, &incumbent, trial)),
+                bits(intermolecular_energy(grid, ligand, broken)));
+      EXPECT_TRUE(std::isnan(trial.energy));
+      std::swap(incumbent, trial);
+      EXPECT_EQ(bits(scorer.score(broken, &incumbent, trial)),
+                bits(intermolecular_energy(grid, ligand, broken)));
+      EXPECT_TRUE(std::isnan(trial.energy));
+      // And out again: the repaired atom is recomputed too.
+      EXPECT_EQ(bits(scorer.score(coords, &incumbent, trial)),
+                bits(intermolecular_energy(grid, ligand, coords)));
+      EXPECT_FALSE(std::isnan(trial.energy));
+    }
+  }
+}
+
 TEST(VinaScore, FarPointContributesExactlyZero) {
   const Structure rec = test_receptor();
   const NeighbourIndex grid(type_receptor(rec), 8.0);
@@ -504,6 +641,104 @@ TEST(Dock, DeterministicPerSeed) {
   const DockingResult b = dock(rec, lig, params);
   EXPECT_DOUBLE_EQ(a.best_affinity, b.best_affinity);
   EXPECT_EQ(a.poses.size(), b.poses.size());
+}
+
+TEST(Dock, GoldenBitsMatchParent) {
+  // Bit patterns recorded before the local search scored incrementally:
+  // docking results must not move by a single bit.  Each case imprints the
+  // entry's ligand on its reference (a dock of its own) and then docks the
+  // imprinted ligand in the imprint's site box.
+  struct Golden {
+    const char* id;
+    std::uint64_t site[3];
+    std::uint64_t best, mean, rmsd_lb, rmsd_ub;
+    std::vector<std::uint64_t> run_best, poses;
+  };
+  const Golden cases[] = {
+      {"6p86",
+       {0x3ff5130a9e203773ULL, 0xc00f63ae4d952bbaULL, 0xc006722bc7bb3106ULL},
+       0xc009ddcced454ff9ULL, 0xc0076067622ad1b0ULL, 0x4015f171dee508faULL,
+       0x4016580775ddb3e9ULL,
+       {0xc0088556c8dab6a3ULL, 0xc00205c99439fe2dULL, 0xc00918b03e5141f8ULL,
+        0xc009ddcced454ff9ULL},
+       {0xc009ddcced454ff9ULL, 0xc00918b03e5141f8ULL, 0xc0088556c8dab6a3ULL,
+        0xc0060993cac94caaULL, 0xc005539ccd4c713fULL, 0xc00496844b8a430eULL,
+        0xc0041d5b99e6f300ULL, 0xc0041287de0ed9a0ULL, 0xc0040b44cea2faa9ULL,
+        0xc003d2461bc5161cULL}},
+      {"2qbs",
+       {0x40126a843c7e806fULL, 0x40160a928fe937f7ULL, 0x3fdf6ba3a80dd385ULL},
+       0xc008969b01f23273ULL, 0xc006077fa1e92632ULL, 0x401818defa4509ebULL,
+       0x40184c3c7c8525fcULL,
+       {0xc007b227d4e808c2ULL, 0xc0041a13d701eca9ULL, 0xc008969b01f23273ULL,
+        0xc003bb27d9c870e8ULL},
+       {0xc008969b01f23273ULL, 0xc007b227d4e808c2ULL, 0xc004a3b863b99bf0ULL,
+        0xc0043d330cd6b556ULL, 0xc0041a13d701eca9ULL, 0xc004108e0e62d478ULL,
+        0xc0040c9847238b71ULL, 0xc003bb27d9c870e8ULL, 0xc00394570f830cf3ULL,
+        0xc002a0aebfabecd8ULL}},
+  };
+  for (const Golden& g : cases) {
+    SCOPED_TRACE(g.id);
+    const Structure ref = reference_structure(entry_by_id(g.id));
+    const ImprintResult imp = imprint_ligand_with_site(generate_ligand(g.id), ref);
+    EXPECT_EQ(bits(imp.site_center.x), g.site[0]);
+    EXPECT_EQ(bits(imp.site_center.y), g.site[1]);
+    EXPECT_EQ(bits(imp.site_center.z), g.site[2]);
+    DockingParams params;
+    params.num_runs = 4;
+    params.mc_steps = 300;
+    params.seed = 17;
+    params.box_center = imp.site_center;
+    params.box_size = 2.0 * (imp.ligand.radius() + 4.0);
+    const DockingResult r = dock(ref, imp.ligand, params);
+    EXPECT_EQ(bits(r.best_affinity), g.best);
+    EXPECT_EQ(bits(r.mean_affinity), g.mean);
+    EXPECT_EQ(bits(r.rmsd_lb_mean), g.rmsd_lb);
+    EXPECT_EQ(bits(r.rmsd_ub_mean), g.rmsd_ub);
+    std::vector<std::uint64_t> run_best, poses;
+    for (double e : r.run_best) run_best.push_back(bits(e));
+    for (const ScoredPose& sp : r.poses) poses.push_back(bits(sp.affinity));
+    EXPECT_EQ(run_best, g.run_best);
+    EXPECT_EQ(poses, g.poses);
+  }
+}
+
+/// The dock work counters, read as one tuple.
+std::vector<std::uint64_t> dock_work_counts() {
+  return {obs::counter("dock.score_calls").value(), obs::counter("dock.pairs.fresh").value(),
+          obs::counter("dock.pairs.reused").value()};
+}
+
+std::vector<std::uint64_t> work_of(const std::function<void()>& fn) {
+  const std::vector<std::uint64_t> before = dock_work_counts();
+  fn();
+  std::vector<std::uint64_t> delta = dock_work_counts();
+  for (std::size_t i = 0; i < delta.size(); ++i) delta[i] -= before[i];
+  return delta;
+}
+
+TEST(Dock, WorkCountersDoNotDependOnThreads) {
+  const Structure rec = test_receptor();
+  const Ligand lig = generate_ligand("2bok");
+  ASSERT_GT(lig.num_torsions(), 0);
+  DockingParams params;
+  params.num_runs = 4;
+  params.mc_steps = 200;
+  params.seed = 13;
+  DockingResult parallel_result, serial_result;
+  const std::vector<std::uint64_t> parallel =
+      work_of([&] { parallel_result = dock(rec, lig, params); });
+  // Inside a parallel_for body the dock's own runs go serially (the
+  // one-level rule of common/parallel.h).
+  const std::vector<std::uint64_t> serial = work_of([&] {
+    parallel_for(2, [&](std::int64_t i) {
+      if (i == 0) serial_result = dock(rec, lig, params);
+    });
+  });
+  EXPECT_EQ(parallel, serial);
+  EXPECT_EQ(bits(parallel_result.best_affinity), bits(serial_result.best_affinity));
+  EXPECT_GT(parallel[0], static_cast<std::uint64_t>(params.num_runs));  // score calls
+  EXPECT_GT(parallel[1], 0u);  // fresh pair terms
+  EXPECT_GT(parallel[2], 0u);  // reused pair terms: the ligand has torsions
 }
 
 TEST(Dock, MoreRunsNeverWorsenBest) {

@@ -308,11 +308,11 @@ TEST_F(TraceTest, ChromeJsonIsValidAndEscaped) {
 }
 
 TEST_F(TraceTest, SummarySelfTimeSubtractsDirectChildren) {
-  // Hand-built events exercise the ancestor-stack attribution without
-  // depending on real clock durations.
+  // Live spans under a root context, so each carries its parent's id.
   TraceSession session;
   session.start();
   {
+    const ScopedTraceContext root(derive_root_context(5));
     Span outer("trace.self.outer");
     {
       Span mid("trace.self.mid");
@@ -332,6 +332,64 @@ TEST_F(TraceTest, SummarySelfTimeSubtractsDirectChildren) {
   EXPECT_LE(outer.self_us, outer.total_us);
   EXPECT_GE(mid.total_us, leaf.total_us);
   EXPECT_GE(outer.total_us, mid.total_us);
+}
+
+/// A hand-built event: span `id` under `parent` in one trace.
+TraceEvent fixture_event(const char* name, int tid, std::uint64_t ts, std::uint64_t dur,
+                         std::uint64_t id, std::uint64_t parent) {
+  TraceEvent e;
+  e.name = name;
+  e.tid = tid;
+  e.ts_us = ts;
+  e.dur_us = dur;
+  e.trace_lo = 7;
+  e.span_id = id;
+  e.parent_id = parent;
+  return e;
+}
+
+const SpanSummary& row_named(const std::vector<SpanSummary>& rows, const std::string& name) {
+  for (const SpanSummary& r : rows) {
+    if (r.name == name) return r;
+  }
+  throw Error("no summary row " + name);
+}
+
+TEST(TraceSummary, ChargesChildrenByParentIdAcrossThreads) {
+  std::vector<TraceEvent> events = {
+      // One parent on thread 1; three overlapping children on threads 2-4,
+      // the last overshooting the parent's end.  Covered: [100, 800) and
+      // [900, 1000), so 800 of the parent's 1000 us.
+      fixture_event("fan.parent", 1, 0, 1000, 10, 0),
+      fixture_event("fan.child", 2, 100, 400, 11, 10),
+      fixture_event("fan.child", 3, 300, 500, 12, 10),
+      fixture_event("fan.child", 4, 900, 200, 13, 10),
+      // A nested chain on one thread: only direct children are charged.
+      fixture_event("chain.a", 5, 2000, 500, 20, 0),
+      fixture_event("chain.b", 5, 2100, 300, 21, 20),
+      fixture_event("chain.c", 5, 2150, 100, 22, 21),
+      // Recorded without a context: no ids, nothing charged either way.
+      fixture_event("naked", 5, 2100, 50, 0, 0),
+      // The same span id in another trace is another span.
+      fixture_event("other.trace", 6, 0, 1000, 99, 10),
+  };
+  events.back().trace_lo = 8;
+  const std::vector<SpanSummary> rows = summarize_spans(events);
+  EXPECT_EQ(row_named(rows, "fan.parent").self_us, 200u);
+  EXPECT_EQ(row_named(rows, "fan.child").count, 3u);
+  EXPECT_EQ(row_named(rows, "fan.child").total_us, 1100u);
+  EXPECT_EQ(row_named(rows, "fan.child").self_us, 1100u);
+  EXPECT_EQ(row_named(rows, "chain.a").self_us, 200u);
+  EXPECT_EQ(row_named(rows, "chain.b").self_us, 200u);
+  EXPECT_EQ(row_named(rows, "chain.c").self_us, 100u);
+  EXPECT_EQ(row_named(rows, "naked").self_us, 50u);
+  EXPECT_EQ(row_named(rows, "other.trace").self_us, 1000u);
+  // Sorted by name, one row per name.
+  ASSERT_EQ(rows.size(), 7u);
+  EXPECT_TRUE(std::is_sorted(rows.begin(), rows.end(),
+                             [](const SpanSummary& a, const SpanSummary& b) {
+                               return a.name < b.name;
+                             }));
 }
 
 TEST_F(TraceTest, SummaryTableRendersEverySpan) {
@@ -654,6 +712,32 @@ TEST_F(TraceTest, ColdEvaluateParentsTheVqeUnderTheEntryNotTheImprintDock) {
   const TraceEvent& vqe = only_event(events, "vqe.run");
   EXPECT_EQ(vqe.tid, imprint.tid);
   EXPECT_GE(vqe.ts_us, imprint.ts_us);
+}
+
+TEST_F(TraceTest, ColdEvaluateChargesPoolThreadSearchesToTheirDock) {
+  const std::vector<TraceEvent> events = traced_cold_evaluate("6p86");
+  std::set<std::uint64_t> docks;
+  for (const TraceEvent& ev : events) {
+    if (ev.name == "dock.run") docks.insert(ev.span_id);
+  }
+  ASSERT_EQ(docks.size(), 2u);
+  std::set<std::uint64_t> searches;
+  for (const TraceEvent& ev : events) {
+    if (ev.name != "dock.search") continue;
+    EXPECT_EQ(docks.count(ev.parent_id), 1u);
+    searches.insert(ev.span_id);
+  }
+  // Every search on every thread has its own id.
+  EXPECT_EQ(searches.size(),
+            static_cast<std::size_t>(std::count_if(events.begin(), events.end(),
+                                                   [](const TraceEvent& ev) {
+                                                     return ev.name == "dock.search";
+                                                   })));
+  // The searches fill their docks, so a dock's self time is well below its
+  // total: the pool threads' work is no longer left in the parent.
+  const std::vector<SpanSummary> rows = summarize_spans(events);
+  const SpanSummary& dock = row_named(rows, "dock.run");
+  EXPECT_LT(dock.self_us, dock.total_us / 2);
 }
 
 TEST_F(TraceTest, ColdEvaluateTunesBeforeTheImprintDock) {

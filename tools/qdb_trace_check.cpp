@@ -2,6 +2,7 @@
 // and qdb_trace_merge outputs.
 //
 //   qdb_trace_check <trace.json> [--require-span <name>]...
+//                   [--require-counter <name>]...
 //                   [--merge] [--require-ancestor <child>=<ancestor>[@<pct>]]...
 //
 // Single-process mode validates the Chrome-trace document the CLI writes
@@ -41,6 +42,10 @@
 // across processes.  The CI chaos gate uses
 // `--require-ancestor orchestrate.job=orchestrate.lease@95` to prove worker
 // job spans really parent to coordinator lease spans.
+//
+// --require-counter <name> (single-process mode): the registry must hold
+// counter <name> with a nonzero value — proof that the code behind it ran,
+// e.g. `dock.pairs.reused` for incremental docking scores.
 //
 // Exit status: 0 clean, 1 findings, 2 usage/io error.  Output lines are
 // `trace.json: message` so CI annotations parse them.
@@ -449,8 +454,18 @@ void check_merged_processes(const Json& doc, const EventsScan& scan) {
   }
 }
 
+void check_required_counter(const Json& registry, const std::string& name) {
+  const Json& counters = registry.at("counters");
+  if (!counters.is_object() || !counters.contains(name)) {
+    fail("required counter \"" + name + "\" is not in the registry");
+  } else if (counters.at(name).as_int() == 0) {
+    fail("required counter \"" + name + "\" is zero");
+  }
+}
+
 constexpr const char* kUsage =
     "usage: qdb_trace_check <trace.json> [--require-span <name>]...\n"
+    "                       [--require-counter <name>]...\n"
     "                       [--merge] "
     "[--require-ancestor <child>=<ancestor>[@<pct>]]...\n";
 
@@ -459,12 +474,15 @@ constexpr const char* kUsage =
 int main(int argc, char** argv) {
   std::string path;
   std::vector<std::string> required_spans;
+  std::vector<std::string> required_counters;
   std::vector<AncestorRequirement> required_ancestors;
   bool merge_mode = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--require-span" && i + 1 < argc) {
       required_spans.push_back(argv[++i]);
+    } else if (arg == "--require-counter" && i + 1 < argc) {
+      required_counters.push_back(argv[++i]);
     } else if (arg == "--merge") {
       merge_mode = true;
     } else if (arg == "--require-ancestor" && i + 1 < argc) {
@@ -504,7 +522,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (path.empty()) {
+  if (path.empty() || (merge_mode && !required_counters.empty())) {
     std::fprintf(stderr, "%s", kUsage);
     return 2;
   }
@@ -570,6 +588,9 @@ int main(int argc, char** argv) {
       if (scan.by_name.count(name) == 0) {
         fail("required span \"" + name + "\" has no trace events");
       }
+    }
+    for (const std::string& name : required_counters) {
+      check_required_counter(doc.at("registry"), name);
     }
     for (const AncestorRequirement& req : required_ancestors) {
       check_ancestry(scan, req);
