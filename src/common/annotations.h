@@ -13,7 +13,7 @@
 // they are pure documentation with zero runtime or codegen cost.  The macro
 // set and naming follow the Abseil/Clang convention
 // (https://clang.llvm.org/docs/ThreadSafetyAnalysis.html); the QDB_ prefix
-// keeps them greppable and lets qdb_analyze's `unannotated-mutex` rule verify
+// keeps them greppable and lets qdb_lint's `unannotated-mutex` rule verify
 // that raw std::mutex never appears outside the annotated wrappers in
 // common/sync.h.
 //

@@ -62,4 +62,22 @@ bool starts_with(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
 
+bool parse_hex_u64(std::string_view s, std::uint64_t* out) {
+  if (s.empty() || s.size() > 16) return false;
+  std::uint64_t v = 0;
+  for (const char c : s) {
+    std::uint64_t d = 0;
+    if (c >= '0' && c <= '9') {
+      d = static_cast<std::uint64_t>(c - '0');
+    } else if (c >= 'a' && c <= 'f') {
+      d = static_cast<std::uint64_t>(c - 'a') + 10;
+    } else {
+      return false;  // uppercase deliberately rejected: W3C mandates lowercase
+    }
+    v = (v << 4) | d;
+  }
+  *out = v;
+  return true;
+}
+
 }  // namespace qdb

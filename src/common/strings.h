@@ -1,6 +1,7 @@
 // Small string/format helpers shared by the library, benches and tools.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -25,5 +26,10 @@ std::string to_lower(std::string_view s);
 
 /// True if s begins with prefix.
 bool starts_with(std::string_view s, std::string_view prefix);
+
+/// Parse 1-16 lowercase hex digits (trace and span ids) into *out.  Empty
+/// input, more than 16 digits and uppercase are rejected and leave *out
+/// untouched; callers check their exact field width themselves.
+bool parse_hex_u64(std::string_view s, std::uint64_t* out);
 
 }  // namespace qdb

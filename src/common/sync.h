@@ -7,7 +7,7 @@
 // qdb::CondVar only exposes *predicated* waits — the predicate-less overload
 // that invites lost-wakeup bugs simply does not exist in the API.
 //
-// Conventions (enforced by qdb_analyze, see DESIGN.md §13):
+// Conventions (enforced by qdb_lint, see DESIGN.md §13):
 //   - raw std::mutex / std::condition_variable / std::lock_guard /
 //     std::unique_lock may not appear in src/ outside this header
 //     (`unannotated-mutex` rule);
@@ -49,7 +49,7 @@ class QDB_CAPABILITY("mutex") Mutex {
 };
 
 /// RAII guard over qdb::Mutex — the project's std::lock_guard.  Scoped
-/// acquisition is the only lock idiom qdb_analyze accepts outside sync.h.
+/// acquisition is the only lock idiom qdb_lint accepts outside sync.h.
 class QDB_SCOPED_CAPABILITY MutexLock {
  public:
   explicit MutexLock(Mutex& mu) QDB_ACQUIRE(mu) : mu_(mu) { mu_.lock(); }

@@ -1,20 +1,19 @@
-// Tests for tools/qdb_analyze: the declared layer map, include-graph
-// construction, architecture rules (cycle / upward include / unknown module)
-// with exact file:line assertions against tests/analyze_fixtures/proj, the
-// lock-hygiene token rules and their near-misses, allowlist round-trip with
-// stale-entry detection, Graphviz output, and the repo-gate property that
-// the real tree is clean under the checked-in allowlist.
+// Tests for tools/qdb_lint's architecture and locking rules: the declared
+// layer map, include-graph construction, architecture rules (cycle / upward
+// include / unknown module) with exact file:line assertions against
+// tests/analyze_fixtures/proj, the lock-hygiene token rules and their
+// near-misses, allowlist round-trip with stale-entry detection, and Graphviz
+// output, and the architecture/locking half of the repo gate (the full
+// gate against the allowlist lives in test_lint.cpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "tools/qdb_analyze.h"
+#include "tools/qdb_lint.h"
 
-namespace qdb::analyze {
+namespace qdb::lint {
 namespace {
 
 const std::string kFixtureRoot =
@@ -65,7 +64,7 @@ TEST(LayerMap, MapIsSortedByLayerThenName) {
 // --- include graph ----------------------------------------------------------
 
 TEST(IncludeGraph, ParsesQuotedIncludesWithModulesAndLines) {
-  const IncludeGraph g = build_include_graph(kFixtureRoot, {"src"});
+  const IncludeGraph g = scan_tree(kFixtureRoot, {"src"}).graph;
   EXPECT_EQ(g.files.size(), 7u);
   EXPECT_EQ(g.module_of.at("src/common/upward.h"), "common");
   EXPECT_EQ(g.module_of.at("src/serve/handler.cpp"), "serve");
@@ -84,7 +83,7 @@ TEST(IncludeGraph, ParsesQuotedIncludesWithModulesAndLines) {
 
 TEST(Architecture, FixtureProjectProducesEachDiagnosticAtItsExactLine) {
   const std::vector<Diagnostic> diags =
-      check_architecture(build_include_graph(kFixtureRoot, {"src"}));
+      check_architecture(scan_tree(kFixtureRoot, {"src"}).graph);
   // The DFS visits cycle_a.h first (sorted order), so the back edge is
   // cycle_b.h's include on line 5 — and the cycle is reported exactly once
   // even though serve/handler.h also reaches it.
@@ -126,7 +125,7 @@ TEST(Architecture, DownwardAndSameLayerIncludesAreLegal) {
 // --- lock hygiene (exact file:line via the fixture) -------------------------
 
 TEST(LockHygiene, FixtureProjectProducesEachDiagnosticAtItsExactLine) {
-  const std::vector<Diagnostic> diags = analyze_tree(kFixtureRoot, {"src"});
+  const std::vector<Diagnostic> diags = scan_tree(kFixtureRoot, {"src"}).diags;
   const std::string f = "src/serve/handler.cpp";
   EXPECT_TRUE(has_at(diags, f, 7, "unannotated-mutex"));   // std::mutex
   EXPECT_TRUE(has_at(diags, f, 8, "unannotated-mutex"));   // std::condition_variable
@@ -142,27 +141,27 @@ TEST(LockHygiene, FixtureProjectProducesEachDiagnosticAtItsExactLine) {
 
 TEST(LockHygiene, WaitVariantsRequireTheirPredicateArity) {
   const std::string two_arg_wait_for = "void f() { cv.wait_for(lk, ms); }";
-  EXPECT_EQ(of_rule(check_lock_hygiene("src/a.cpp", two_arg_wait_for),
+  EXPECT_EQ(of_rule(lint_source("src/a.cpp", two_arg_wait_for),
                     "cv-wait-no-predicate")
                 .size(),
             1u);
   const std::string ok =
       "void f() { cv.wait_for(lk, ms, [] { return done; }); "
       "cv.wait_until(lk, tp, pred); cv_.wait_for_ms(mu_, 50, pred); }";
-  EXPECT_TRUE(of_rule(check_lock_hygiene("src/a.cpp", ok), "cv-wait-no-predicate")
+  EXPECT_TRUE(of_rule(lint_source("src/a.cpp", ok), "cv-wait-no-predicate")
                   .empty());
   // wait_for_ms must not be mistaken for wait_for (token boundary).
   const std::string qdb_wait = "void f() { cv_.wait_for_ms(mu_, 50, pred); }";
-  EXPECT_TRUE(check_lock_hygiene("src/a.cpp", qdb_wait).empty());
+  EXPECT_TRUE(lint_source("src/a.cpp", qdb_wait).empty());
 }
 
 TEST(LockHygiene, SrcOnlyRulesAreSilentInTestsButDetachIsNot) {
   const std::string text =
       "void f(std::thread& t) { std::mutex m; m.lock(); m.unlock(); t.detach(); }";
-  const std::vector<Diagnostic> in_tests = check_lock_hygiene("tests/a.cpp", text);
+  const std::vector<Diagnostic> in_tests = lint_source("tests/a.cpp", text);
   EXPECT_EQ(in_tests.size(), 1u);  // only the detach: repo-wide rule
   EXPECT_EQ(in_tests[0].rule, "thread-detach");
-  const std::vector<Diagnostic> in_src = check_lock_hygiene("src/m/a.cpp", text);
+  const std::vector<Diagnostic> in_src = lint_source("src/m/a.cpp", text);
   EXPECT_EQ(of_rule(in_src, "naked-lock").size(), 2u);
   EXPECT_EQ(of_rule(in_src, "unannotated-mutex").size(), 1u);  // std::mutex only
   EXPECT_EQ(of_rule(in_src, "thread-detach").size(), 1u);
@@ -173,13 +172,13 @@ TEST(LockHygiene, CommentsStringsAndRaiiGuardsAreNotHits) {
       "// mu.lock() in a comment\n"
       "const char* s = \"cv.wait(lk)\";\n"
       "void f() { const MutexLock lock(mu_); my_unlock(); relock(); }\n";
-  EXPECT_TRUE(check_lock_hygiene("src/m/a.cpp", ok).empty());
+  EXPECT_TRUE(lint_source("src/m/a.cpp", ok).empty());
 }
 
 // --- allowlist round-trip ---------------------------------------------------
 
 TEST(Allowlist, SuppressesMatchedRulesAndFlagsStaleEntries) {
-  const std::vector<Diagnostic> diags = analyze_tree(kFixtureRoot, {"src"});
+  const std::vector<Diagnostic> diags = scan_tree(kFixtureRoot, {"src"}).diags;
   const std::vector<AllowEntry> allow = parse_allowlist(
       "# fixture allowlist\n"
       "src/serve/handler.cpp naked-lock\n"
@@ -196,7 +195,7 @@ TEST(Allowlist, SuppressesMatchedRulesAndFlagsStaleEntries) {
 // --- Graphviz output --------------------------------------------------------
 
 TEST(GraphDot, RanksLayersAndPaintsUnknownModulesRed) {
-  const std::string dot = graph_dot(build_include_graph(kFixtureRoot, {"src"}));
+  const std::string dot = graph_dot(scan_tree(kFixtureRoot, {"src"}).graph);
   EXPECT_NE(dot.find("digraph qdb_include_graph"), std::string::npos);
   EXPECT_NE(dot.find("{ rank=same; \"common\"; }  // layer 0"), std::string::npos);
   EXPECT_NE(dot.find("{ rank=same; \"screen\"; }  // layer 4"), std::string::npos);
@@ -210,27 +209,33 @@ TEST(GraphDot, RanksLayersAndPaintsUnknownModulesRed) {
 // --- repo gate --------------------------------------------------------------
 
 TEST(RepoGate, FixtureTreesAreSkippedAndTheRepoAnalyzesClean) {
-  std::ifstream in(std::string(QDB_SOURCE_DIR) + "/tools/qdb_analyze_allow.txt");
-  ASSERT_TRUE(in.good());
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::vector<AllowEntry> allow = parse_allowlist(buf.str());
-  std::vector<AllowEntry> unused;
-  const std::vector<Diagnostic> diags = apply_allowlist(
-      analyze_tree(QDB_SOURCE_DIR, {"src", "tests", "bench", "examples", "tools"}),
-      allow, &unused);
-  for (const Diagnostic& d : diags) {
+  // The architecture and locking half of the repo gate, over the same one
+  // walk: the planted fixture project must not leak into the include graph
+  // (its cycle would otherwise appear), the architecture rules must be clean
+  // with no allowlist at all, and the only locking findings are the
+  // sync.h wrapper's two allowlisted ones.
+  const TreeScan scan =
+      scan_tree(QDB_SOURCE_DIR, {"src", "tests", "bench", "examples", "tools"});
+  ASSERT_FALSE(scan.graph.files.empty());
+  for (const std::string& f : scan.graph.files) {
+    EXPECT_EQ(f.find("_fixtures"), std::string::npos) << f;
+  }
+  for (const Diagnostic& d : check_architecture(scan.graph)) {
     ADD_FAILURE() << format_diagnostic(d);
   }
-  for (const AllowEntry& e : unused) {
-    ADD_FAILURE() << "stale allowlist entry: " << e.file << " " << e.rule;
+
+  std::vector<std::string> locking;
+  for (const std::string rule :
+       {"naked-lock", "cv-wait-no-predicate", "thread-detach", "unannotated-mutex"}) {
+    for (const Diagnostic& d : of_rule(scan.diags, rule)) {
+      locking.push_back(d.file + " " + d.rule);
+    }
   }
-  // The deliberately-broken fixture project must NOT leak into the repo
-  // scan: its cycle would otherwise appear here.
-  for (const Diagnostic& d : diags) {
-    EXPECT_EQ(d.file.find("analyze_fixtures"), std::string::npos);
-  }
+  std::sort(locking.begin(), locking.end());
+  locking.erase(std::unique(locking.begin(), locking.end()), locking.end());
+  EXPECT_EQ(locking, (std::vector<std::string>{"src/common/sync.h naked-lock",
+                                               "src/common/sync.h unannotated-mutex"}));
 }
 
 }  // namespace
-}  // namespace qdb::analyze
+}  // namespace qdb::lint

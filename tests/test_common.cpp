@@ -6,6 +6,7 @@
 #include <cfloat>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <limits>
@@ -321,6 +322,28 @@ TEST(Strings, TrimAndCase) {
   EXPECT_EQ(to_lower("GLY"), "gly");
   EXPECT_TRUE(starts_with("ATOM  123", "ATOM"));
   EXPECT_FALSE(starts_with("AT", "ATOM"));
+}
+
+TEST(Strings, ParseHexU64AcceptsOneToSixteenLowercaseDigits) {
+  std::uint64_t v = 7;
+  EXPECT_TRUE(parse_hex_u64("0", &v));
+  EXPECT_EQ(v, 0u);
+  EXPECT_TRUE(parse_hex_u64("0a", &v));
+  EXPECT_EQ(v, 10u);
+  EXPECT_TRUE(parse_hex_u64("ffffffffffffffff", &v));
+  EXPECT_EQ(v, ~std::uint64_t{0});
+  EXPECT_TRUE(parse_hex_u64("0123456789abcdef", &v));
+  EXPECT_EQ(v, 0x0123456789abcdefu);
+  // Rejections leave the output untouched.
+  v = 7;
+  EXPECT_FALSE(parse_hex_u64("", &v));
+  EXPECT_FALSE(parse_hex_u64("0123456789abcdef0", &v));  // 17 digits
+  EXPECT_FALSE(parse_hex_u64("ABCDEF", &v));
+  EXPECT_FALSE(parse_hex_u64("0aF", &v));
+  EXPECT_FALSE(parse_hex_u64("0x1f", &v));
+  EXPECT_FALSE(parse_hex_u64(" 1", &v));
+  EXPECT_FALSE(parse_hex_u64("g", &v));
+  EXPECT_EQ(v, 7u);
 }
 
 TEST(Table, RendersAlignedColumns) {

@@ -1,6 +1,8 @@
-// Tests for tools/qdb_lint: the comment/string stripper, each rule's hits
-// and deliberate near-misses, fixture-tree scanning, allowlist round-trip,
-// and the repo-gate property that lint_fixtures trees are skipped.
+// Tests for tools/qdb_lint's convention rules: the comment/string stripper,
+// each rule's hits and deliberate near-misses, fixture-tree scanning,
+// allowlist round-trip, and the repo-gate property that *_fixtures trees are
+// skipped and the repo is clean.  The locking and architecture rules are
+// tested in test_analyze.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -200,7 +202,7 @@ TEST(Rules, RawTraceparentScansRawTextInLibraryOnly) {
 TEST(Rules, LenientNumberFiresInLibraryCodeOnly) {
   const std::filesystem::path root =
       std::filesystem::path(QDB_SOURCE_DIR) / "tests" / "lint_fixtures" / "numbers";
-  const std::vector<Diagnostic> diags = lint_tree(root, {"src"});
+  const std::vector<Diagnostic> diags = scan_tree(root, {"src"}).diags;
   ASSERT_EQ(diags.size(), 4u);
   for (const Diagnostic& d : diags) {
     EXPECT_EQ(d.rule, "lenient-number") << format_diagnostic(d);
@@ -216,7 +218,7 @@ TEST(Fixtures, TreeScanFindsEveryPlantedViolationAndNothingElse) {
   const std::filesystem::path root =
       std::filesystem::path(QDB_SOURCE_DIR) / "tests" / "lint_fixtures" / "proj";
   ASSERT_TRUE(std::filesystem::exists(root)) << root;
-  const std::vector<Diagnostic> diags = lint_tree(root, {"src", "tests"});
+  const std::vector<Diagnostic> diags = scan_tree(root, {"src", "tests"}).diags;
 
   EXPECT_EQ(of_rule(diags, "raw-random").size(), 4u);         // 3 in src + 1 in tests
   EXPECT_EQ(of_rule(diags, "stdout-in-library").size(), 2u);  // src only
@@ -264,7 +266,7 @@ TEST(Allowlist, ParseApplyAndStaleDetectionRoundTrip) {
       std::filesystem::path(QDB_SOURCE_DIR) / "tests" / "lint_fixtures" / "proj";
   std::vector<AllowEntry> unused;
   const std::vector<Diagnostic> kept =
-      apply_allowlist(lint_tree(root, {"src", "tests"}), allow, &unused);
+      apply_allowlist(scan_tree(root, {"src", "tests"}).diags, allow, &unused);
 
   // 3 raw-random + 1 omp-pragma suppressed from violations.cpp; the
   // tests/scoped.cpp raw-random hit is NOT (allowlist is per-file), and the
@@ -280,13 +282,14 @@ TEST(Allowlist, ParseApplyAndStaleDetectionRoundTrip) {
 
 TEST(RepoGate, FixtureTreesAreSkippedAndTheRepoLintsClean) {
   // The property the ctest/CI gate relies on: scanning the real repo must
-  // not surface the planted fixture violations, and — with the checked-in
-  // allowlist — must be clean.
+  // not surface the planted fixture violations (the analyze fixture's cycle
+  // would otherwise appear here), and — with the checked-in allowlist —
+  // must be clean.
   const std::filesystem::path root(QDB_SOURCE_DIR);
   const std::vector<Diagnostic> diags =
-      lint_tree(root, {"src", "tests", "bench", "examples", "tools"});
+      scan_tree(root, {"src", "tests", "bench", "examples", "tools"}).diags;
   for (const Diagnostic& d : diags) {
-    EXPECT_EQ(d.file.find("lint_fixtures"), std::string::npos)
+    EXPECT_EQ(d.file.find("_fixtures"), std::string::npos)
         << format_diagnostic(d);
   }
 

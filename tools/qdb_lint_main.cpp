@@ -1,11 +1,16 @@
-// qdb_lint CLI: scan the repo for project-convention violations.
+// qdb_lint CLI: scan the repo for project-convention, locking and
+// architecture violations.
 //
-//   qdb_lint [--root <dir>] [--allow <file>] [dir...]
+//   qdb_lint [--root <dir>] [--allow <file>] [--graph <out.dot>] [dir...]
 //
 // Default scan set is src/ tests/ bench/ examples/ tools/ under --root
-// (default: the current directory).  Exit status: 0 clean, 1 findings (or
-// stale allowlist entries), 2 usage error.  Output lines are
-// `file:line: [rule] message` so editors and CI annotations parse them.
+// (default: the current directory); the default allowlist is
+// <root>/tools/qdb_lint_allow.txt when it exists.  `--graph` also writes the
+// module-level include DAG of the same walk as a Graphviz digraph (layers
+// ranked bottom-up); it does not affect the exit status.  Exit status: 0
+// clean, 1 findings (or stale allowlist entries), 2 usage error.  Output
+// lines are `file:line: [rule] message` so editors and CI annotations parse
+// them.
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -18,6 +23,7 @@ int main(int argc, char** argv) {
   using namespace qdb::lint;
   std::string root = ".";
   std::string allow_path;
+  std::string graph_path;
   std::vector<std::string> dirs;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -25,8 +31,12 @@ int main(int argc, char** argv) {
       root = argv[++i];
     } else if (arg == "--allow" && i + 1 < argc) {
       allow_path = argv[++i];
+    } else if (arg == "--graph" && i + 1 < argc) {
+      graph_path = argv[++i];
     } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "usage: qdb_lint [--root <dir>] [--allow <file>] [dir...]\n");
+      std::fprintf(stderr,
+                   "usage: qdb_lint [--root <dir>] [--allow <file>] "
+                   "[--graph <out.dot>] [dir...]\n");
       return 2;
     } else {
       dirs.push_back(arg);
@@ -50,9 +60,19 @@ int main(int argc, char** argv) {
     allow = parse_allowlist(buf.str());
   }
 
+  const TreeScan scan = scan_tree(root, dirs);
+  if (!graph_path.empty()) {
+    std::ofstream out(graph_path, std::ios::binary | std::ios::trunc);
+    out << graph_dot(scan.graph);
+    if (!out.good()) {
+      std::fprintf(stderr, "qdb_lint: cannot write graph %s\n", graph_path.c_str());
+      return 2;
+    }
+    std::printf("qdb_lint: wrote %s\n", graph_path.c_str());
+  }
+
   std::vector<AllowEntry> unused;
-  const std::vector<Diagnostic> diags =
-      apply_allowlist(lint_tree(root, dirs), allow, &unused);
+  const std::vector<Diagnostic> diags = apply_allowlist(scan.diags, allow, &unused);
 
   for (const Diagnostic& d : diags) {
     std::printf("%s\n", format_diagnostic(d).c_str());

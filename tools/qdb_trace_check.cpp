@@ -56,11 +56,13 @@
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "common/error.h"
 #include "common/json.h"
+#include "common/strings.h"
 
 namespace {
 
@@ -93,25 +95,6 @@ struct EventsScan {
   std::set<std::int64_t> pids;
   std::vector<IdEvent> id_events;
 };
-
-bool parse_hex_id(const std::string& text, std::size_t digits,
-                  std::uint64_t* out) {
-  if (text.size() != digits) return false;
-  std::uint64_t v = 0;
-  for (const char c : text) {
-    std::uint64_t d = 0;
-    if (c >= '0' && c <= '9') {
-      d = static_cast<std::uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      d = static_cast<std::uint64_t>(c - 'a') + 10;
-    } else {
-      return false;  // uppercase is a finding: the exporter writes lowercase
-    }
-    v = (v << 4) | d;
-  }
-  *out = v;
-  return true;
-}
 
 EventsScan scan_events(const Json& doc) {
   EventsScan scan;
@@ -164,19 +147,21 @@ EventsScan scan_events(const Json& doc) {
       const std::string& trace = ev.at("trace").as_string();
       const std::string& span = ev.at("span").as_string();
       bool ok = true;
+      // Uppercase hex is a finding: the exporter writes lowercase.
       if (trace.size() != 32 ||
-          !parse_hex_id(trace.substr(0, 16), 16, &trace_hi_lo[0]) ||
-          !parse_hex_id(trace.substr(16, 16), 16, &trace_hi_lo[1]) ||
+          !qdb::parse_hex_u64(std::string_view(trace).substr(0, 16), &trace_hi_lo[0]) ||
+          !qdb::parse_hex_u64(std::string_view(trace).substr(16), &trace_hi_lo[1]) ||
           (trace_hi_lo[0] | trace_hi_lo[1]) == 0) {
         fail(where + " \"trace\" is not 32 lowercase hex chars (nonzero)");
         ok = false;
       }
-      if (!parse_hex_id(span, 16, &id.span) || id.span == 0) {
+      if (span.size() != 16 || !qdb::parse_hex_u64(span, &id.span) || id.span == 0) {
         fail(where + " \"span\" is not 16 lowercase hex chars (nonzero)");
         ok = false;
       }
       if (ev.contains("parent")) {
-        if (!parse_hex_id(ev.at("parent").as_string(), 16, &id.parent) ||
+        const std::string& parent = ev.at("parent").as_string();
+        if (parent.size() != 16 || !qdb::parse_hex_u64(parent, &id.parent) ||
             id.parent == 0) {
           fail(where + " \"parent\" is not 16 lowercase hex chars (nonzero)");
           ok = false;

@@ -35,28 +35,11 @@
 
 #include "common/error.h"
 #include "common/json.h"
+#include "common/strings.h"
 
 namespace {
 
 using qdb::Json;
-
-bool parse_hex_id(const std::string& text, std::uint64_t* out) {
-  if (text.size() != 16) return false;
-  std::uint64_t v = 0;
-  for (const char c : text) {
-    std::uint64_t d = 0;
-    if (c >= '0' && c <= '9') {
-      d = static_cast<std::uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      d = static_cast<std::uint64_t>(c - 'a') + 10;
-    } else {
-      return false;
-    }
-    v = (v << 4) | d;
-  }
-  *out = v;
-  return true;
-}
 
 std::string basename_of(const std::string& path) {
   const std::size_t slash = path.find_last_of('/');
@@ -107,15 +90,17 @@ int main(int argc, char** argv) {
         copy.set("pid", pid);
         if (ev.is_object() && ev.contains("span") &&
             ev.at("span").is_string()) {
+          const std::string& text = ev.at("span").as_string();
           std::uint64_t span = 0;
-          if (parse_hex_id(ev.at("span").as_string(), &span)) {
+          if (text.size() == 16 && qdb::parse_hex_u64(text, &span)) {
             span_ids.insert(span);
           }
         }
         if (ev.is_object() && ev.contains("parent") &&
             ev.at("parent").is_string()) {
+          const std::string& text = ev.at("parent").as_string();
           std::uint64_t parent = 0;
-          if (parse_hex_id(ev.at("parent").as_string(), &parent)) {
+          if (text.size() == 16 && qdb::parse_hex_u64(text, &parent)) {
             const std::string who =
                 (ev.contains("name") && ev.at("name").is_string()
                      ? ev.at("name").as_string()

@@ -1,14 +1,11 @@
-// Shared comment/string-aware scanner core for the project's source checkers
-// (ISSUE 8).  qdb_lint (convention rules) and qdb_analyze (architecture +
-// lock-hygiene rules) both need the same substrate: strip comments and
+// Comment/string-aware scanner core for qdb_lint: strip comments and
 // literals without disturbing line numbers, match identifiers on token
-// boundaries, walk the source tree deterministically, and run findings
-// through a per-(file,rule) allowlist whose stale entries are themselves
-// findings.  Factoring it here keeps the two tools byte-for-byte consistent
-// about what counts as code versus prose.
+// boundaries in the spellings a rule names, walk the source tree, and run
+// findings through a per-(file,rule) allowlist whose stale entries are
+// themselves findings.
 //
-// Everything is header-only and dependency-free (std only) so either tool
-// can be built standalone in CI with a bare `g++ file.cpp`.
+// Everything is header-only and dependency-free (std only) so the checker
+// can be built standalone in CI with a bare `g++`.
 #pragma once
 
 #include <algorithm>
@@ -111,25 +108,6 @@ class LineIndex {
   std::vector<std::size_t> starts_;
 };
 
-/// Is the identifier token at [pos, pos+len) free-standing?  Qualified
-/// (`foo::tok`), member (`x.tok`, `p->tok`) and substring (`my_tok`, `tokx`)
-/// occurrences are rejected — except a `std::` qualifier, which `allow_std`
-/// lets through (std::rand is still rand).
-inline bool standalone_token(const std::string& text, std::size_t pos, std::size_t len,
-                             bool allow_std) {
-  if (pos > 0) {
-    const char prev = text[pos - 1];
-    if (is_ident_char(prev) || prev == '.') return false;
-    if (prev == '>' && pos > 1 && text[pos - 2] == '-') return false;
-    if (prev == ':') {
-      const bool std_qualified = pos >= 5 && text.compare(pos - 5, 5, "std::") == 0;
-      return allow_std && std_qualified;
-    }
-  }
-  const std::size_t after = pos + len;
-  return after >= text.size() || !is_ident_char(text[after]);
-}
-
 /// First non-space char at or after `pos` (same line semantics not needed —
 /// a call's '(' may legally sit on the next line).
 inline std::size_t skip_ws(const std::string& text, std::size_t pos) {
@@ -150,13 +128,59 @@ inline char previous_nonspace(const std::string& text, std::size_t pos) {
   return pos > 0 ? text[pos - 1] : '\0';
 }
 
-/// For every standalone occurrence of `token`, call fn(offset).
+/// The spellings of a token that for_each_token accepts, as a bit set.  A
+/// match never continues an identifier on the left (`my_rand` is not
+/// `rand`), and on the right only with kPrefix.
+enum Spelling : unsigned {
+  kBare = 1u << 0,       ///< `tok`: not `::`-qualified, not a member (`a ?b:tok` is bare)
+  kStd = 1u << 1,        ///< `std::tok`
+  kGlobal = 1u << 2,     ///< `::tok` (global scope, not `ns::tok`)
+  kQualified = 1u << 3,  ///< any `...::tok`, std:: and global included
+  kMember = 1u << 4,     ///< `x.tok` or `p->tok`
+  kPrefix = 1u << 5,     ///< `tok` may run on as an identifier (`_mm256_add_pd`)
+};
+
+/// Does the token at [pos, pos+len) take one of the accepted spellings?
+inline bool spelled(const std::string& code, std::size_t pos, std::size_t len,
+                    unsigned spellings) {
+  unsigned form = kBare;
+  if (pos > 0) {
+    const char prev = code[pos - 1];
+    if (is_ident_char(prev)) return false;
+    if (prev == '.' || (prev == '>' && pos > 1 && code[pos - 2] == '-')) {
+      form = kMember;
+    } else if (prev == ':' && pos > 1 && code[pos - 2] == ':') {
+      // `q` is where the qualifier's "::" starts.
+      const std::size_t q = pos - 2;
+      const char before = q > 0 ? code[q - 1] : '\0';
+      form = kQualified;
+      if (q >= 3 && code.compare(q - 3, 3, "std") == 0 &&
+          (q == 3 || !is_ident_char(code[q - 4]))) {
+        form |= kStd;
+      } else if (!is_ident_char(before) && before != ':' && before != '>') {
+        form |= kGlobal;
+      }
+    }
+  }
+  if ((form & spellings) == 0) return false;
+  const std::size_t after = pos + len;
+  return (spellings & kPrefix) != 0 || after >= code.size() ||
+         !is_ident_char(code[after]);
+}
+
+/// Call fn(offset) for every occurrence of `token` in one of the accepted
+/// spellings; with `call`, only where the next non-space char is '('.
 template <typename Fn>
-void for_each_token(const std::string& text, const std::string& token, bool allow_std,
-                    Fn&& fn) {
-  for (std::size_t pos = text.find(token); pos != std::string::npos;
-       pos = text.find(token, pos + 1)) {
-    if (standalone_token(text, pos, token.size(), allow_std)) fn(pos);
+void for_each_token(const std::string& code, const std::string& token, unsigned spellings,
+                    bool call, Fn&& fn) {
+  for (std::size_t pos = code.find(token); pos != std::string::npos;
+       pos = code.find(token, pos + 1)) {
+    if (!spelled(code, pos, token.size(), spellings)) continue;
+    if (call) {
+      const std::size_t paren = skip_ws(code, pos + token.size());
+      if (paren >= code.size() || code[paren] != '(') continue;
+    }
+    fn(pos);
   }
 }
 
@@ -177,7 +201,7 @@ inline bool is_header(const std::string& relpath) {
 
 /// Does this directory hold deliberate-violation test fixtures?  Any
 /// directory whose name ends in "_fixtures" (lint_fixtures, analyze_fixtures)
-/// is skipped by the tree walkers so fixtures never fail the repo gates.
+/// is skipped by the tree walk so fixtures never fail the repo gate.
 inline bool is_fixture_dir(const std::string& dirname) {
   static const std::string kSuffix = "_fixtures";
   return dirname.size() >= kSuffix.size() &&
