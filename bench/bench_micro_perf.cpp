@@ -1,10 +1,10 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical kernels:
 // statevector gate application, MPS circuit simulation and sampling,
 // Hamiltonian energy evaluation (per-shot vs histogram+scratch), the batch
-// executor, exact solving, Vina scoring, and docking.  main() additionally
-// runs a direct A/B of the stage-2 evaluation pipeline and writes the
-// numbers to BENCH_micro_perf.json so the perf trajectory is tracked across
-// PRs.
+// executor, exact solving, Vina scoring (plain and incremental), and
+// docking.  main() additionally runs a direct A/B of the stage-2 evaluation
+// pipeline and writes the numbers to BENCH_micro_perf.json so the perf
+// trajectory is tracked across PRs.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -231,6 +231,44 @@ void BM_VinaScoring(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_VinaScoring);
+
+/// The scoring path every dock candidate takes: IncrementalScorer::score
+/// with no incumbent, over 400 seeded poses inside the receptor's bounding
+/// box (arg: 0 = 6p86 S, 1 = 2qbs M, 2 = 4jpy L).  One iteration is one pose.
+void BM_IncrementalScoreFresh(benchmark::State& state) {
+  const char* ids[] = {"6p86", "2qbs", "4jpy"};
+  const char* id = ids[state.range(0)];
+  Pipeline pipeline;
+  const DatasetEntry& e = entry_by_id(id);
+  const std::vector<ReceptorAtom> typed = type_receptor(pipeline.reference(e));
+  const Ligand& lig = pipeline.ligand(e);
+  const NeighbourIndex grid(typed, 8.0);
+  Vec3 lo = typed[0].pos, hi = typed[0].pos;
+  for (const ReceptorAtom& a : typed) {
+    lo = {std::min(lo.x, a.pos.x), std::min(lo.y, a.pos.y), std::min(lo.z, a.pos.z)};
+    hi = {std::max(hi.x, a.pos.x), std::max(hi.y, a.pos.y), std::max(hi.z, a.pos.z)};
+  }
+  Rng rng(fnv1a(id));
+  std::vector<std::vector<Vec3>> poses;
+  for (int n = 0; n < 400; ++n) {
+    Pose pose = lig.neutral_pose();
+    pose.translation = {rng.uniform(lo.x, hi.x), rng.uniform(lo.y, hi.y), rng.uniform(lo.z, hi.z)};
+    pose.orientation = Quat::random(rng.uniform(), rng.uniform(), rng.uniform());
+    for (double& t : pose.torsions) t = rng.uniform(-3.14159, 3.14159);
+    poses.push_back(lig.conformation(pose));
+  }
+  IncrementalScorer scorer(grid, lig);
+  ScoredConformation out;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(scorer.score(poses[i], nullptr, out));
+    i = i + 1 == poses.size() ? 0 : i + 1;
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["pairs_per_pose"] =
+      static_cast<double>(scorer.fresh_pairs()) / static_cast<double>(scorer.calls());
+}
+BENCHMARK(BM_IncrementalScoreFresh)->DenseRange(0, 2);
 
 void BM_DockingRun(benchmark::State& state) {
   Pipeline pipeline;

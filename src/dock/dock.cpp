@@ -87,6 +87,8 @@ RunOutput run_search(const NeighbourIndex& grid, const Ligand& ligand, const Box
   // polished; `trial` is the buffer a candidate is scored into.
   IncrementalScorer scorer(grid, ligand, params.weights);
   ScoredConformation incumbent, trial;
+  // Search work, added to the dock.* counters once at the end of the run.
+  std::uint64_t mc_steps = 0, mc_accepted = 0, polish_sweeps = 0;
   auto score = [&](const Pose& p, const ScoredConformation* against, ScoredConformation& out) {
     return affinity_from_energy(scorer.score(ligand.conformation(p), against, out),
                                 ligand.num_torsions(), params.weights);
@@ -100,6 +102,7 @@ RunOutput run_search(const NeighbourIndex& grid, const Ligand& ligand, const Box
     double step_t = 0.6;   // Angstrom
     double step_r = 0.25;  // radians
     for (int sweep = 0; sweep < sweeps; ++sweep) {
+      ++polish_sweeps;
       bool improved = false;
       auto try_pose = [&](Pose cand) {
         // Stay inside the search box (Vina clips to its box too).
@@ -171,8 +174,10 @@ RunOutput run_search(const NeighbourIndex& grid, const Ligand& ligand, const Box
                      : perturb(current, box, 1.2, rng);
     double cand_e = score(cand, nullptr, incumbent);
     std::tie(cand, cand_e) = local_optimize(std::move(cand), cand_e, 4);
+    ++mc_steps;
     const double delta = cand_e - current_e;
     if (delta <= 0.0 || rng.uniform() < std::exp(-delta / params.temperature)) {
+      ++mc_accepted;
       current = std::move(cand);
       current_e = cand_e;
       remember(current, current_e);
@@ -191,9 +196,15 @@ RunOutput run_search(const NeighbourIndex& grid, const Ligand& ligand, const Box
   static obs::Counter& score_calls = obs::counter("dock.score_calls");
   static obs::Counter& fresh_pairs = obs::counter("dock.pairs.fresh");
   static obs::Counter& reused_pairs = obs::counter("dock.pairs.reused");
+  static obs::Counter& mc_step_count = obs::counter("dock.mc_steps");
+  static obs::Counter& mc_accepted_count = obs::counter("dock.mc_accepted");
+  static obs::Counter& polish_sweep_count = obs::counter("dock.polish_sweeps");
   score_calls.add(scorer.calls());
   fresh_pairs.add(scorer.fresh_pairs());
   reused_pairs.add(scorer.reused_pairs());
+  mc_step_count.add(mc_steps);
+  mc_accepted_count.add(mc_accepted);
+  polish_sweep_count.add(polish_sweeps);
 
   // Deduplicate near-identical poses (within 1 A ub-RMSD of a kept pose).
   RunOutput out;

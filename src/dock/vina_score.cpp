@@ -154,10 +154,17 @@ bool same_bits(const Vec3& a, const Vec3& b) {
 
 }  // namespace
 
-/// The pair-sum kernel's one body; kRecord = false is the plain sum.
+/// The pair-sum kernel's one body; kRecord = false is the plain sum.  Each
+/// neighbour run is taken in chunks of kChunk slots, in two passes: the
+/// first computes every slot's d2 and keeps the in-cutoff (slot, d2) pairs
+/// in walk order with no branch on the test, the second computes the terms
+/// of the kept pairs only.  The pairs, their order and their arithmetic are
+/// those of a one-pass loop that skips `d2 > cutoff2`: d2 is never NaN
+/// (finite `p`, finite atoms), so `d2 <= cutoff2` keeps exactly its pairs.
 template <bool kRecord>
 double accumulate_pairs(const NeighbourIndex& grid, const Vec3& p, const LigandAtom& atom,
                         double total, const VinaWeights& w, std::vector<double>* terms) {
+  constexpr std::uint32_t kChunk = 64;
   if (!all_finite(p)) return std::numeric_limits<double>::quiet_NaN();
   const NeighbourIndex::Run* runs = grid.runs_at(p);
   if (runs == nullptr) return total;
@@ -172,25 +179,36 @@ double accumulate_pairs(const NeighbourIndex& grid, const Vec3& p, const LigandA
   const double* rr = grid.radius_.data();
   const std::uint8_t* rf = grid.flags_.data();
 
+  std::uint32_t kept[kChunk];
+  double kept_d2[kChunk];
   for (int r = 0; r < NeighbourIndex::kRuns; ++r) {
-    for (std::uint32_t k = runs[r].begin; k < runs[r].end; ++k) {
-      // The arithmetic of p.distance2(atom position), term for term.
-      const double dx = p.x - rx[k];
-      const double dy = p.y - ry[k];
-      const double dz = p.z - rz[k];
-      const double d2 = dx * dx + dy * dy + dz * dz;
-      if (d2 > cutoff2) continue;
-      const double d = std::sqrt(d2);
-      const double ds = d - lr - rr[k];
+    for (std::uint32_t begin = runs[r].begin; begin < runs[r].end; begin += kChunk) {
+      const std::uint32_t end = std::min(runs[r].end, begin + kChunk);
+      std::uint32_t n = 0;
+      for (std::uint32_t k = begin; k < end; ++k) {
+        // The arithmetic of p.distance2(atom position), term for term.
+        const double dx = p.x - rx[k];
+        const double dy = p.y - ry[k];
+        const double dz = p.z - rz[k];
+        const double d2 = dx * dx + dy * dy + dz * dz;
+        kept[n] = k;
+        kept_d2[n] = d2;
+        n += d2 <= cutoff2 ? 1u : 0u;
+      }
+      for (std::uint32_t i = 0; i < n; ++i) {
+        const std::uint32_t k = kept[i];
+        const double d = std::sqrt(kept_d2[i]);
+        const double ds = d - lr - rr[k];
 
-      double e = w.gauss1 * std::exp(-(ds / 0.5) * (ds / 0.5));
-      const double g2 = (ds - 3.0) / 2.0;
-      e += w.gauss2 * std::exp(-g2 * g2);
-      if (ds < 0.0) e += w.repulsion * ds * ds;
-      if ((rf[k] & hydrophobic) != 0) e += w.hydrophobic * slope_step(ds, 0.5, 1.5);
-      if ((rf[k] & hbond) != 0) e += w.hbond * slope_step(ds, -0.7, 0.0);
-      if constexpr (kRecord) terms->push_back(e);
-      total += e;
+        double e = w.gauss1 * std::exp(-(ds / 0.5) * (ds / 0.5));
+        const double g2 = (ds - 3.0) / 2.0;
+        e += w.gauss2 * std::exp(-g2 * g2);
+        if (ds < 0.0) e += w.repulsion * ds * ds;
+        if ((rf[k] & hydrophobic) != 0) e += w.hydrophobic * slope_step(ds, 0.5, 1.5);
+        if ((rf[k] & hbond) != 0) e += w.hbond * slope_step(ds, -0.7, 0.0);
+        if constexpr (kRecord) terms->push_back(e);
+        total += e;
+      }
     }
   }
   return total;

@@ -133,6 +133,9 @@ class NeighbourIndex {
 /// NaN for a non-finite `p`; `total` unchanged for a point outside the box.
 /// intermolecular_energy and the screening grid's node fill both call it,
 /// so a grid node equals a one-atom intermolecular_energy bit for bit.
+/// It filters each run by the cutoff in a first pass and computes terms
+/// for the kept pairs in a second (DESIGN.md §3.2); the pairs, their order
+/// and every bit are those of a one-pass loop that skips the rest.
 double accumulate_point_energy(const NeighbourIndex& grid, const Vec3& p, const LigandAtom& atom,
                                double total, const VinaWeights& w = VinaWeights{});
 

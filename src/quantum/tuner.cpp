@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
 #include <vector>
 
 #include "common/check.h"
@@ -55,7 +56,18 @@ std::string Tuner::cache_path() {
   if (const char* env = std::getenv("QDB_TUNER_CACHE")) {
     return std::string(env) == "off" ? std::string() : std::string(env);
   }
-  return ".qdb_tuner.json";
+  // The XDG base-directory rule: a relative $XDG_CACHE_HOME is ignored.
+  std::string path;
+  if (const char* xdg = std::getenv("XDG_CACHE_HOME"); xdg != nullptr && xdg[0] == '/') {
+    path = xdg;
+  } else if (const char* home = std::getenv("HOME"); home != nullptr && home[0] != '\0') {
+    path = home;
+    path += "/.cache";
+  } else {
+    return path;
+  }
+  path += "/qdockbank/tuner.json";
+  return path;
 }
 
 void Tuner::clear_memory() {
@@ -172,6 +184,8 @@ void Tuner::save_disk_locked() {
   doc.set("version", kFormatVersion);
   doc.set("plans", std::move(plans));
   try {
+    const std::filesystem::path parent = std::filesystem::path(path).parent_path();
+    if (!parent.empty()) std::filesystem::create_directories(parent);
     write_file_atomic(path, doc.dump());
   } catch (const std::exception&) {
     // Persistence is an optimization; the in-process plan still stands.

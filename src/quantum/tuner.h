@@ -15,8 +15,10 @@
 // over a small candidate ladder, then the winner is cached in-process and
 // persisted via write_file_atomic so later processes skip the benchmark.
 //
-// Disk cache: JSON at $QDB_TUNER_CACHE (default ".qdb_tuner.json";
-// "off" disables persistence):
+// Disk cache: JSON at $QDB_TUNER_CACHE ("off" disables persistence), else
+// at $XDG_CACHE_HOME/qdockbank/tuner.json, else at
+// $HOME/.cache/qdockbank/tuner.json; with neither set there is no disk
+// layer.  Saving creates the parent directory:
 //
 //   {"version": 1,
 //    "plans": {"n16.f32.avx2": {"block_qubits": 11, "best_ms": 0.42}, ...}}
@@ -53,8 +55,9 @@ class Tuner {
   /// use.  Thread-safe; concurrent callers serialise on the plan mutex.
   TunerPlan plan_for(int num_qubits, Precision precision) QDB_EXCLUDES(mu_);
 
-  /// Cache file path ($QDB_TUNER_CACHE or ".qdb_tuner.json"); empty when
-  /// persistence is disabled via QDB_TUNER_CACHE=off.
+  /// Cache file path: $QDB_TUNER_CACHE, else under $XDG_CACHE_HOME (if
+  /// absolute), else under $HOME/.cache.  Empty, so no disk layer, for
+  /// QDB_TUNER_CACHE=off or when neither directory is known.
   static std::string cache_path();
 
   /// Drop the in-process cache and force a disk reload on next use (tests).

@@ -262,8 +262,9 @@ TEST(VinaScore, GridMatchesBruteForceNeighbourhood) {
   }
 }
 
-/// The hashed 27-cell neighbour walk and pair loop the flat index replaced,
-/// kept verbatim as the bit-identity oracle.
+/// The hashed 27-cell neighbour walk the flat index replaced and the
+/// one-pass pair loop the two-pass kernel replaced, kept as the bit-identity
+/// oracle.
 class HashedNeighbourIndex {
  public:
   explicit HashedNeighbourIndex(std::vector<ReceptorAtom> atoms)
@@ -297,31 +298,39 @@ class HashedNeighbourIndex {
     }
   }
 
+  /// The one-pass pair loop: the term of every in-cutoff pair of a ligand
+  /// atom `la` at `lp`, in visit order.
+  std::vector<double> terms(const LigandAtom& la, const Vec3& lp,
+                            const VinaWeights& w = VinaWeights{}) const {
+    const double cutoff2 = 8.0 * 8.0;
+    const double lr = vdw_radius(la.element);
+    std::vector<double> out;
+    for_neighbors(lp, [&](int ri) {
+      const ReceptorAtom& ra = atoms_[static_cast<std::size_t>(ri)];
+      const double d2 = lp.distance2(ra.pos);
+      if (d2 > cutoff2) return;
+      const double d = std::sqrt(d2);
+      const double ds = d - lr - vdw_radius(ra.element);
+
+      double e = w.gauss1 * std::exp(-(ds / 0.5) * (ds / 0.5));
+      const double g2 = (ds - 3.0) / 2.0;
+      e += w.gauss2 * std::exp(-g2 * g2);
+      if (ds < 0.0) e += w.repulsion * ds * ds;
+      if (la.hydrophobic && ra.hydrophobic) e += w.hydrophobic * slope_step(ds, 0.5, 1.5);
+      const bool hb = (la.donor && ra.acceptor) || (la.acceptor && ra.donor);
+      if (hb) e += w.hbond * slope_step(ds, -0.7, 0.0);
+      out.push_back(e);
+    });
+    return out;
+  }
+
   double energy(const Ligand& ligand, const std::vector<Vec3>& coords,
                 const VinaWeights& w = VinaWeights{}) const {
-    const double cutoff2 = 8.0 * 8.0;
     double total = 0.0;
     for (std::size_t li = 0; li < coords.size(); ++li) {
       const LigandAtom& la = ligand.atoms()[li];
       if (la.element == 'H') continue;
-      const Vec3& lp = coords[li];
-      const double lr = vdw_radius(la.element);
-      for_neighbors(lp, [&](int ri) {
-        const ReceptorAtom& ra = atoms_[static_cast<std::size_t>(ri)];
-        const double d2 = lp.distance2(ra.pos);
-        if (d2 > cutoff2) return;
-        const double d = std::sqrt(d2);
-        const double ds = d - lr - vdw_radius(ra.element);
-
-        double e = w.gauss1 * std::exp(-(ds / 0.5) * (ds / 0.5));
-        const double g2 = (ds - 3.0) / 2.0;
-        e += w.gauss2 * std::exp(-g2 * g2);
-        if (ds < 0.0) e += w.repulsion * ds * ds;
-        if (la.hydrophobic && ra.hydrophobic) e += w.hydrophobic * slope_step(ds, 0.5, 1.5);
-        const bool hb = (la.donor && ra.acceptor) || (la.acceptor && ra.donor);
-        if (hb) e += w.hbond * slope_step(ds, -0.7, 0.0);
-        total += e;
-      });
+      for (double e : terms(la, coords[li], w)) total += e;
     }
     return total;
   }
@@ -352,6 +361,46 @@ std::uint64_t bits(double v) {
   return b;
 }
 
+/// Bit patterns of a term list.
+std::vector<std::uint64_t> bits_of(const std::vector<double>& v) {
+  std::vector<std::uint64_t> out;
+  for (double x : v) out.push_back(bits(x));
+  return out;
+}
+
+/// Both kernel overloads at `p`, from an incoming total, against the
+/// one-pass oracle: the recorded terms equal the oracle's value by value and
+/// in order, and both sums are the oracle's terms added one by one.
+void expect_kernel_matches_oracle(const NeighbourIndex& flat, const HashedNeighbourIndex& hashed,
+                                  const LigandAtom& atom, const Vec3& p) {
+  const double incoming = 0.375;
+  const std::vector<double> expected = hashed.terms(atom, p);
+  double sum = incoming;
+  for (double e : expected) sum += e;
+  std::vector<double> recorded = {-1.0};  // appended to, never cleared
+  EXPECT_EQ(bits(accumulate_point_energy(flat, p, atom, incoming, VinaWeights{}, recorded)),
+            bits(sum));
+  ASSERT_FALSE(recorded.empty());
+  EXPECT_EQ(recorded.front(), -1.0);
+  recorded.erase(recorded.begin());
+  EXPECT_EQ(bits_of(recorded), bits_of(expected));
+  EXPECT_EQ(bits(accumulate_point_energy(flat, p, atom, incoming)), bits(sum));
+}
+
+/// Probe atoms of each chemistry: hydrophobic carbon, donor N, acceptor O.
+std::vector<LigandAtom> probe_atoms() {
+  std::vector<LigandAtom> out(3);
+  const char elements[3] = {'C', 'N', 'O'};
+  for (int role = 0; role < 3; ++role) {
+    LigandAtom& a = out[static_cast<std::size_t>(role)];
+    a.element = elements[role];
+    a.hydrophobic = role == 0;
+    a.donor = role == 1;
+    a.acceptor = role == 2;
+  }
+  return out;
+}
+
 TEST(VinaScore, FlatIndexMatchesHashedWalkBitForBit) {
   // Reference receptors of an S, an M and an L entry.
   for (const char* id : {"6p86", "2qbs", "4jpy"}) {
@@ -372,7 +421,8 @@ TEST(VinaScore, FlatIndexMatchesHashedWalkBitForBit) {
       return static_cast<double>(splitmix64(state) >> 11) * 0x1.0p-53;
     };
     // Seeded poses over the receptor box grown by 20 A on each side, so
-    // some ligands sit wholly or partly outside the receptor's cells.
+    // some ligands sit wholly or partly outside the receptor's cells; each
+    // atom's recorded terms match the oracle's too.
     for (int n = 0; n < 200; ++n) {
       Pose pose = ligand.neutral_pose();
       pose.translation = {lo.x - 20.0 + uniform() * (hi.x - lo.x + 40.0),
@@ -384,18 +434,16 @@ TEST(VinaScore, FlatIndexMatchesHashedWalkBitForBit) {
       EXPECT_EQ(bits(intermolecular_energy(flat, ligand, coords)),
                 bits(hashed.energy(ligand, coords)))
           << "pose " << n;
+      for (std::size_t li = 0; li < coords.size(); ++li) {
+        expect_kernel_matches_oracle(flat, hashed, ligand.atoms()[li], coords[li]);
+      }
     }
 
     // Single atoms exactly on 8 A cell boundaries (and one cell beyond the
     // occupied range), for every probe chemistry; the visit order matches
     // too.
-    std::vector<LigandAtom> probe(1);
-    for (const auto& [element, role] : {std::pair{'C', 0}, std::pair{'N', 1}, std::pair{'O', 2}}) {
-      probe[0].element = element;
-      probe[0].hydrophobic = role == 0;
-      probe[0].donor = role == 1;
-      probe[0].acceptor = role == 2;
-      const Ligand atom(probe, {}, "probe");
+    for (const LigandAtom& probe : probe_atoms()) {
+      const Ligand atom({probe}, {}, "probe");
       const Vec3& o = hashed.origin();
       for (int i = -2; i * 8.0 <= hi.x - o.x + 16.0; ++i) {
         for (int j = -2; j * 8.0 <= hi.y - o.y + 16.0; ++j) {
@@ -403,7 +451,7 @@ TEST(VinaScore, FlatIndexMatchesHashedWalkBitForBit) {
             const Vec3 p{o.x + 8.0 * i, o.y + 8.0 * j, o.z + 8.0 * k + 4.0 * (i & 1)};
             EXPECT_EQ(bits(intermolecular_energy(flat, atom, {p})),
                       bits(hashed.energy(atom, {p})));
-            if (role != 0) continue;
+            if (!probe.hydrophobic) continue;
             std::vector<int> a, b;
             flat.for_neighbors(p, [&](int r) { a.push_back(r); });
             hashed.for_neighbors(p, [&](int r) { b.push_back(r); });
@@ -413,6 +461,82 @@ TEST(VinaScore, FlatIndexMatchesHashedWalkBitForBit) {
       }
     }
   }
+}
+
+TEST(VinaScore, TwoPassKernelMatchesOnePassOracleAtChunkAndCutoffEdges) {
+  // A synthetic receptor in [0, 24)^3 with an atom at the origin, so its
+  // cells are [0, 8), [8, 16) and [16, 24) on each axis.  A point in the
+  // middle cell, (12, 12, 12), walks nine runs: each is one (x, y) column of
+  // cells over all three z cells.  Column sizes: 200 atoms (three full
+  // 64-slot chunks and a partial one), 64 (exactly one chunk), 65 (one
+  // chunk and one slot), 1, and a few near the origin.
+  const Vec3 centre{12.0, 12.0, 12.0};
+  std::uint64_t state = fnv1a("dense receptor");
+  auto uniform = [&]() { return static_cast<double>(splitmix64(state) >> 11) * 0x1.0p-53; };
+  std::vector<ReceptorAtom> atoms;
+  auto add = [&](const Vec3& pos) {
+    ReceptorAtom a;
+    a.pos = pos;
+    const std::size_t kind = atoms.size() % 4;
+    a.element = "CNOS"[kind];
+    a.hydrophobic = kind == 0 || kind == 3;
+    a.donor = kind == 1;
+    a.acceptor = kind == 2 || kind == 3;
+    atoms.push_back(a);
+  };
+  add({0.0, 0.0, 0.0});
+  for (int i = 0; i < 3; ++i) add({uniform() * 7.9, uniform() * 7.9, uniform() * 7.9});
+  auto column = [&](double x0, double y0, int count) {
+    for (int i = 0; i < count; ++i) {
+      add({x0 + uniform() * 7.9, y0 + uniform() * 7.9, uniform() * 23.9});
+    }
+  };
+  column(8.0, 8.0, 197);
+  // Exactly at the cutoff from the centre (d2 == 64), and one ulp in and out.
+  add(centre + Vec3{0.0, 0.0, -8.0});
+  add({centre.x, centre.y, std::nextafter(20.0, 24.0)});
+  add({centre.x, centre.y, std::nextafter(20.0, 0.0)});
+  column(0.0, 8.0, 64);
+  column(16.0, 8.0, 64);
+  add(centre + Vec3{8.0, 0.0, 0.0});  // the 65th of column (16, 8), on the cutoff
+  add({12.0, 4.0, 12.0});             // the only atom of column (8, 0), on the cutoff
+  const NeighbourIndex flat(atoms, 8.0);
+  const HashedNeighbourIndex hashed(atoms);
+
+  int visited = 0;
+  flat.for_neighbors(centre, [&](int) { ++visited; });
+  EXPECT_EQ(visited, static_cast<int>(atoms.size()));
+
+  for (const LigandAtom& atom : probe_atoms()) {
+    SCOPED_TRACE(std::string(1, atom.element));
+    // The centre keeps more pairs than one chunk holds, but not every atom.
+    const std::vector<double> at_centre = hashed.terms(atom, centre);
+    ASSERT_GT(at_centre.size(), 64u);
+    ASSERT_LT(at_centre.size(), atoms.size() - 1);
+    expect_kernel_matches_oracle(flat, hashed, atom, centre);
+    // Seeded points over the box grown by 8 A, so some walk empty padding
+    // cells and some see only atoms beyond the cutoff.
+    for (int n = 0; n < 300; ++n) {
+      const Vec3 p{-8.0 + uniform() * 40.0, -8.0 + uniform() * 40.0, -8.0 + uniform() * 40.0};
+      expect_kernel_matches_oracle(flat, hashed, atom, p);
+    }
+    // A padding-cell point that walks the origin's column with every atom
+    // beyond the cutoff: no terms, and the incoming total comes back.
+    const Vec3 corner{-7.9, -7.9, -7.9};
+    int corner_visits = 0;
+    flat.for_neighbors(corner, [&](int) { ++corner_visits; });
+    EXPECT_GT(corner_visits, 0);
+    EXPECT_TRUE(hashed.terms(atom, corner).empty());
+    expect_kernel_matches_oracle(flat, hashed, atom, corner);
+  }
+
+  // Two atoms, one exactly on the cutoff from the probe: one term.
+  std::vector<ReceptorAtom> two(2, atoms[0]);  // both at the origin
+  two[1].pos = {8.0, 0.0, 0.0};
+  const NeighbourIndex tiny(two, 8.0);
+  std::vector<double> one;
+  accumulate_point_energy(tiny, {-8.0, 0.0, 0.0}, probe_atoms()[0], 0.0, VinaWeights{}, one);
+  EXPECT_EQ(one.size(), 1u);
 }
 
 /// `base` with a hydrogen after every third heavy atom, riding the same
@@ -705,7 +829,8 @@ TEST(Dock, GoldenBitsMatchParent) {
 /// The dock work counters, read as one tuple.
 std::vector<std::uint64_t> dock_work_counts() {
   return {obs::counter("dock.score_calls").value(), obs::counter("dock.pairs.fresh").value(),
-          obs::counter("dock.pairs.reused").value()};
+          obs::counter("dock.pairs.reused").value(), obs::counter("dock.mc_steps").value(),
+          obs::counter("dock.mc_accepted").value(), obs::counter("dock.polish_sweeps").value()};
 }
 
 std::vector<std::uint64_t> work_of(const std::function<void()>& fn) {
@@ -739,6 +864,13 @@ TEST(Dock, WorkCountersDoNotDependOnThreads) {
   EXPECT_GT(parallel[0], static_cast<std::uint64_t>(params.num_runs));  // score calls
   EXPECT_GT(parallel[1], 0u);  // fresh pair terms
   EXPECT_GT(parallel[2], 0u);  // reused pair terms: the ligand has torsions
+  // Every run takes mc_steps / 10 Metropolis steps and accepts some of them.
+  EXPECT_EQ(parallel[3], static_cast<std::uint64_t>(params.num_runs * (params.mc_steps / 10)));
+  EXPECT_GT(parallel[4], 0u);
+  EXPECT_LE(parallel[4], parallel[3]);
+  // At least one sweep per local optimisation: the start's, each step's and
+  // the final refine.
+  EXPECT_GE(parallel[5], parallel[3] + 2u * static_cast<std::uint64_t>(params.num_runs));
 }
 
 TEST(Dock, MoreRunsNeverWorsenBest) {

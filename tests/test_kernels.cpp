@@ -324,6 +324,86 @@ TEST_F(TunerCacheTest, SmallRegistersResolveWithoutBenchmarking) {
   EXPECT_EQ(obs::counter("kernel.tuner.tuned").value(), tuned_before);
 }
 
+/// Sets (or, for nullptr, unsets) an environment variable for one scope.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    const char* prior = std::getenv(name);
+    had_ = prior != nullptr;
+    if (had_) prior_ = prior;
+    if (value != nullptr) {
+      setenv(name, value, 1);
+    } else {
+      unsetenv(name);
+    }
+  }
+  ~ScopedEnv() {
+    if (had_) {
+      setenv(name_, prior_.c_str(), 1);
+    } else {
+      unsetenv(name_);
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::string prior_;
+  bool had_ = false;
+};
+
+/// Runs in `dir` for one scope.
+class ScopedCwd {
+ public:
+  explicit ScopedCwd(const std::filesystem::path& dir) : prior_(std::filesystem::current_path()) {
+    std::filesystem::current_path(dir);
+  }
+  ~ScopedCwd() { std::filesystem::current_path(prior_); }
+  ScopedCwd(const ScopedCwd&) = delete;
+  ScopedCwd& operator=(const ScopedCwd&) = delete;
+
+ private:
+  std::filesystem::path prior_;
+};
+
+TEST(TunerCacheLocation, DefaultsToTheUserCacheDirectoryNotTheWorkingDirectory) {
+  const std::filesystem::path root = std::filesystem::temp_directory_path() / "qdb_tuner_location";
+  std::filesystem::remove_all(root);
+  const std::filesystem::path xdg = root / "xdg", home = root / "home", cwd = root / "cwd";
+  std::filesystem::create_directories(cwd);
+  {
+    const ScopedCwd in_cwd(cwd);
+    const ScopedEnv no_override("QDB_TUNER_CACHE", nullptr);
+    const ScopedEnv xdg_env("XDG_CACHE_HOME", xdg.c_str());
+    const ScopedEnv home_env("HOME", home.c_str());
+    const std::filesystem::path expected = xdg / "qdockbank" / "tuner.json";
+    EXPECT_EQ(Tuner::cache_path(), expected.string());
+
+    // A tuned plan is saved there, creating the directories; nothing lands
+    // in the working directory or under $HOME.
+    Tuner::global().clear_memory();
+    EXPECT_EQ(Tuner::global().plan_for(10, Precision::f64).source, "tuned");
+    EXPECT_TRUE(std::filesystem::exists(expected));
+    EXPECT_TRUE(std::filesystem::is_empty(cwd));
+    EXPECT_FALSE(std::filesystem::exists(home));
+    Tuner::global().clear_memory();
+    EXPECT_EQ(Tuner::global().plan_for(10, Precision::f64).source, "disk");
+
+    {
+      const ScopedEnv relative("XDG_CACHE_HOME", "relative/cache");
+      EXPECT_EQ(Tuner::cache_path(), (home / ".cache" / "qdockbank" / "tuner.json").string());
+    }
+    {
+      const ScopedEnv no_xdg("XDG_CACHE_HOME", nullptr);
+      const ScopedEnv no_home("HOME", nullptr);
+      EXPECT_EQ(Tuner::cache_path(), "");
+    }
+  }
+  Tuner::global().clear_memory();
+  std::filesystem::remove_all(root);
+}
+
 TEST(FusedEngineCounters, FusionAccountingIsRecorded) {
   const int nq = 9;
   const Circuit native = transpiled_ansatz(nq, 53);
