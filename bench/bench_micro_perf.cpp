@@ -8,6 +8,8 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <regex>
+#include <string>
 
 #include "bench_util.h"
 #include "common/parallel.h"
@@ -415,6 +417,16 @@ MetricList fused_kernel_summary() {
   return m;
 }
 
+/// True when --benchmark_filter selects benchmark `name` (google-benchmark's
+/// rule: empty or "all" selects everything, a leading '-' negates the regex).
+bool filter_selects(const std::string& name) {
+  std::string filter = benchmark::GetBenchmarkFilter();
+  if (filter.empty() || filter == "all") return true;
+  const bool negate = filter.front() == '-';
+  if (negate) filter.erase(0, 1);
+  return std::regex_search(name, std::regex(filter)) != negate;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -422,9 +434,14 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  MetricList metrics = stage2_speedup_summary();
-  const MetricList kernel = fused_kernel_summary();
-  metrics.insert(metrics.end(), kernel.begin(), kernel.end());
-  bench::emit_bench_json("micro_perf", metrics);
+  // Each A/B summary runs only beside the benchmark it extends, so a filter
+  // for other layers (docking, say) neither times nor tunes the engines.
+  MetricList metrics;
+  if (filter_selects("BM_HamiltonianEnergyBatch/4096")) metrics = stage2_speedup_summary();
+  if (filter_selects("BM_FusedAnsatzApply/16/0")) {
+    const MetricList kernel = fused_kernel_summary();
+    metrics.insert(metrics.end(), kernel.begin(), kernel.end());
+  }
+  if (!metrics.empty()) bench::emit_bench_json("micro_perf", metrics);
   return 0;
 }

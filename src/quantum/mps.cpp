@@ -253,6 +253,7 @@ void MpsSimulator::apply_2q_adjacent(const std::array<std::array<cplx, 4>, 4>& u
               th2(l, pa, pb, r);
 
   Svd svd = svd_columns(mat, m_rows, n_cols);
+  ++svds_;
 
   // Truncate: drop singular values below tol * s_max and cap at max_bond.
   int keep = 0;
@@ -261,6 +262,7 @@ void MpsSimulator::apply_2q_adjacent(const std::array<std::array<cplx, 4>, 4>& u
     if (svd.s[static_cast<std::size_t>(i)] > trunc_tol_ * smax && keep < max_bond_) ++keep;
   }
   keep = std::max(keep, 1);
+  peak_bond_ = std::max(peak_bond_, keep);
   double kept_w = 0.0, all_w = 0.0;
   for (int i = 0; i < svd.k; ++i) {
     all_w += svd.s[static_cast<std::size_t>(i)] * svd.s[static_cast<std::size_t>(i)];
@@ -327,7 +329,13 @@ void MpsSimulator::apply(const Circuit& c) {
   QDB_SPAN("mps.apply");
   QDB_REQUIRE(c.num_qubits() <= num_qubits_, "circuit wider than mps");
   fault_site("engine.mps.apply");  // deterministic fault injection (ISSUE 2)
+  static obs::Counter& svd_count = obs::counter("mps.svds");
+  static obs::Histogram& peak_bond = obs::histogram("mps.peak_bond");
+  svds_ = 0;
+  peak_bond_ = max_bond_reached();
   for (const Gate& g : c.gates()) apply(g);
+  svd_count.add(svds_);
+  peak_bond.record(static_cast<std::uint64_t>(peak_bond_));
   // Chain structural audit (ISSUE 3): adjacent site tensors must agree on
   // their shared bond dimension, every bond must respect the cap, and the
   // boundary bonds are trivial.  (Deliberately *not* a global-norm check:

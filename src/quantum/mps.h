@@ -48,6 +48,9 @@ class MpsSimulator {
   void reset();
 
   void apply(const Gate& g);
+  /// Apply every gate of `c`.  Adds the SVDs it ran to the counter
+  /// `mps.svds` and records the largest bond it reached in the histogram
+  /// `mps.peak_bond`, once per call.
   void apply(const Circuit& c);
 
   /// Largest bond dimension currently in the state.
@@ -105,6 +108,9 @@ class MpsSimulator {
   double trunc_tol_;
   double truncated_weight_ = 0.0;
   std::vector<Site> sites_;
+  // Work tallies of the apply(Circuit) in progress.
+  std::uint64_t svds_ = 0;
+  int peak_bond_ = 1;
 };
 
 }  // namespace qdb

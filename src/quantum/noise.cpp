@@ -40,8 +40,11 @@ GateKind random_pauli(Rng& rng) {
 
 }  // namespace
 
-Circuit noise_trajectory(const Circuit& c, const NoiseModel& m, Rng& rng) {
+Circuit noise_trajectory(const Circuit& c, const NoiseModel& m, Rng& rng,
+                         std::size_t* errors) {
+  if (errors != nullptr) *errors = 0;
   if (m.is_ideal()) return c;
+  std::size_t drawn = 0;
   Circuit out(c.num_qubits());
   for (const Gate& g : c.gates()) {
     out.append(g);
@@ -49,6 +52,7 @@ Circuit noise_trajectory(const Circuit& c, const NoiseModel& m, Rng& rng) {
       // Two-qubit depolarizing: uniformly random non-identity two-qubit
       // Pauli, sampled as independent marginals conditioned on not-identity.
       if (rng.bernoulli(m.p_depol_2q)) {
+        ++drawn;
         int pick = static_cast<int>(rng.below(15)) + 1;  // 1..15, skip II
         const int pa = pick & 3;
         const int pb = (pick >> 2) & 3;
@@ -61,9 +65,11 @@ Circuit noise_trajectory(const Circuit& c, const NoiseModel& m, Rng& rng) {
         emit(pb, g.q1);
       }
     } else if (rng.bernoulli(m.p_depol_1q)) {
+      ++drawn;
       out.append(Gate::one(random_pauli(rng), g.q0));
     }
   }
+  if (errors != nullptr) *errors = drawn;
   return out;
 }
 

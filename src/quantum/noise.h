@@ -11,6 +11,7 @@
 //   - readout assignment errors on the sampled bitstrings.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -51,8 +52,11 @@ struct NoiseModel {
 /// Sample one stochastic error realisation of `c`: after each gate, with the
 /// model's depolarizing probability, insert a uniformly random non-identity
 /// Pauli on the affected qubit(s).  Averaging runs over trajectories
-/// converges to the depolarizing channel.
-Circuit noise_trajectory(const Circuit& c, const NoiseModel& m, Rng& rng);
+/// converges to the depolarizing channel.  If `errors` is given it receives
+/// the number of errors drawn; each appends at least one gate, so a
+/// trajectory that drew none is gate for gate `c` (a "clean" trajectory).
+Circuit noise_trajectory(const Circuit& c, const NoiseModel& m, Rng& rng,
+                         std::size_t* errors = nullptr);
 
 /// Apply readout assignment errors to sampled bitstrings in place.
 void apply_readout_error(std::vector<std::uint64_t>& shots, int num_qubits,

@@ -7,7 +7,6 @@
 #include "common/check.h"
 #include "common/error.h"
 #include "common/fault.h"
-#include "common/parallel.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "optimize/cobyla.h"
@@ -92,6 +91,86 @@ double VqeDriver::cvar_weighted(std::vector<std::pair<double, double>> samples,
   return estimate;
 }
 
+RefineOutcome refine_descents(const FoldingHamiltonian& h,
+                              std::span<const std::pair<double, std::uint64_t>> starts) {
+  QDB_REQUIRE(h.num_qubits() < 64, "refine needs the top bit of a bitstring free");
+  RefineOutcome out;
+  out.minima.reserve(starts.size());
+
+  // Direct-mapped energy memo, 4096 slots (64 KiB).  No bitstring has its
+  // top bit set, so an all-ones key marks an empty slot.
+  struct Slot {
+    std::uint64_t x;
+    double e;
+  };
+  constexpr int kSlotBits = 12;
+  std::vector<Slot> memo(std::size_t{1} << kSlotBits, Slot{~std::uint64_t{0}, 0.0});
+  FoldingHamiltonian::Scratch scratch;
+  auto energy = [&](std::uint64_t x) {
+    Slot& slot = memo[(x * 0x9e3779b97f4a7c15ULL) >> (64 - kSlotBits)];
+    if (slot.x == x) {
+      ++out.memo_hits;
+    } else {
+      ++out.energies;
+      slot = {x, h.energy_scratch(x, scratch)};
+    }
+    return slot.e;
+  };
+
+  // One descent step: move (x, e) to the first improving single-turn
+  // change, else to the first improving two-turn change (which escapes
+  // shallow single-move minima).  False at a local minimum.
+  const int free_turns = h.length() - 3;
+  auto step = [&](std::uint64_t& x, double& e) {
+    auto try_move = [&](std::uint64_t cand) {
+      if (cand == x) return false;
+      const double ce = energy(cand);
+      if (!(ce < e - 1e-12)) return false;
+      x = cand;
+      e = ce;
+      return true;
+    };
+    for (int k = 0; k < free_turns; ++k) {
+      for (std::uint64_t t = 0; t < 4; ++t) {
+        if (try_move((x & ~(std::uint64_t{3} << (2 * k))) | (t << (2 * k)))) return true;
+      }
+    }
+    for (int k1 = 0; k1 < free_turns; ++k1) {
+      for (int k2 = k1 + 1; k2 < free_turns; ++k2) {
+        for (std::uint64_t t1 = 0; t1 < 4; ++t1) {
+          for (std::uint64_t t2 = 0; t2 < 4; ++t2) {
+            std::uint64_t cand = (x & ~(std::uint64_t{3} << (2 * k1))) | (t1 << (2 * k1));
+            cand = (cand & ~(std::uint64_t{3} << (2 * k2))) | (t2 << (2 * k2));
+            if (try_move(cand)) return true;
+          }
+        }
+      }
+    }
+    return false;
+  };
+
+  // A step depends on the state alone, so a descent that reaches a state an
+  // earlier descent passed through ends where that one ended.
+  std::unordered_map<std::uint64_t, std::pair<std::uint64_t, double>> reached;
+  std::vector<std::uint64_t> path;
+  for (const auto& [e0, x0] : starts) {
+    std::pair<std::uint64_t, double> at{x0, e0};
+    path.clear();
+    for (;;) {
+      if (const auto it = reached.find(at.first); it != reached.end()) {
+        at = it->second;
+        ++out.merged;
+        break;
+      }
+      path.push_back(at.first);
+      if (!step(at.first, at.second)) break;
+    }
+    for (std::uint64_t x : path) reached.emplace(x, at);
+    out.minima.push_back(at);
+  }
+  return out;
+}
+
 VqeResult VqeDriver::run() const {
   obs::Span wall("vqe.run");  // doubles as the sim_wall_time_s stopwatch
   const int nq = h_.num_qubits();
@@ -113,7 +192,14 @@ VqeResult VqeDriver::run() const {
   };
 
   // Draw `shots` measurement outcomes of the ansatz at `params` under the
-  // noise model, split across stochastic error trajectories.
+  // noise model, split across stochastic error trajectories.  A clean
+  // trajectory (no error drawn) is the logical circuit itself, so when the
+  // trajectory simulated just before it in this call was clean too, the
+  // engine already holds its state: it samples again without reset or
+  // apply.  Every trajectory still draws its errors, its shots and its
+  // readout flips, and calls the engine's fault site once, so the RNG stream
+  // and the fault numbering are those of simulating it afresh.
+  std::size_t trajectories_simulated = 0, trajectories_reused = 0;
   auto sample_bitstrings = [&](const std::vector<double>& params, std::size_t shots,
                                int trajectories, Precision precision) {
     const Circuit logical = ansatz.build(params);
@@ -124,27 +210,45 @@ VqeResult VqeDriver::run() const {
                           : static_cast<int>(std::min<std::size_t>(
                                 static_cast<std::size_t>(trajectories), shots));
     const std::size_t per_traj = shots / static_cast<std::size_t>(ntraj);
+    std::optional<MpsSimulator> mps;
+    bool holds_logical = false;  // the engine's state is the logical circuit's
     for (int t = 0; t < ntraj; ++t) {
       const std::size_t want = (t + 1 == ntraj) ? shots - per_traj * static_cast<std::size_t>(ntraj - 1)
                                                 : per_traj;
       if (want == 0) continue;
-      const Circuit noisy = noise_trajectory(logical, opt_.noise, rng);
+      std::size_t errors = 0;
+      const Circuit noisy = noise_trajectory(logical, opt_.noise, rng, &errors);
+      const bool reuse = holds_logical && errors == 0;
+      holds_logical = errors == 0;
+      ++(reuse ? trajectories_reused : trajectories_simulated);
       std::vector<std::uint64_t> s;
       if (use_mps) {
-        MpsSimulator sim(nq, opt_.max_bond);
-        sim.apply(noisy);
-        if (sim.truncation_weight() > opt_.max_truncation_weight) {
-          throw TransientDeviceError(
-              "mps bond-cap overflow: truncation weight " +
-              std::to_string(sim.truncation_weight()) + " exceeds bound " +
-              std::to_string(opt_.max_truncation_weight) + " at max_bond " +
-              std::to_string(opt_.max_bond) + " (retry on the dense engine)");
+        if (reuse) {
+          fault_site("engine.mps.apply");
+        } else {
+          if (mps) {
+            mps->reset();
+          } else {
+            mps.emplace(nq, opt_.max_bond);
+          }
+          mps->apply(noisy);
+          if (mps->truncation_weight() > opt_.max_truncation_weight) {
+            throw TransientDeviceError(
+                "mps bond-cap overflow: truncation weight " +
+                std::to_string(mps->truncation_weight()) + " exceeds bound " +
+                std::to_string(opt_.max_truncation_weight) + " at max_bond " +
+                std::to_string(opt_.max_bond) + " (retry on the dense engine)");
+          }
         }
-        s = sim.sample(want, rng);
+        s = mps->sample(want, rng);
       } else {
         FusedEngine& sim = dense_engine(precision);
-        sim.reset();
-        sim.apply(noisy);
+        if (reuse) {
+          fault_site("engine.dense.apply");
+        } else {
+          sim.reset();
+          sim.apply(noisy);
+        }
         s = sim.sample(want, rng);
       }
       apply_readout_error(s, nq, opt_.noise, rng);
@@ -290,86 +394,41 @@ VqeResult VqeDriver::run() const {
                   << " recomputed=" << re << " bitstring=" << best_x);
   }
 
-  // Classical refinement: greedy descent over one- and two-turn changes,
-  // started from the lowest-energy distinct samples of the measured
-  // distribution (the quantum stage supplies the starting basins).  Every
-  // candidate flip is scored through the allocation-free scratch kernel, and
-  // the independent descents fan out across threads.
+  // Classical refinement: greedy descents started from the lowest-energy
+  // distinct samples of the measured distribution (the quantum stage
+  // supplies the starting basins; the histogram scores are reused, no
+  // stage-2 shot is re-evaluated).
   double best_e = lo;
   if (opt_.refine_bitstring) {
     QDB_SPAN("vqe.refine");
-    const int free_turns = h_.length() - 3;
-
-    auto descend = [&](std::uint64_t x, double e) {
-      FoldingHamiltonian::Scratch scratch;
-      bool improved = true;
-      while (improved) {
-        improved = false;
-        // Single-turn moves.
-        for (int k = 0; k < free_turns && !improved; ++k) {
-          for (std::uint64_t t = 0; t < 4; ++t) {
-            const std::uint64_t cand = (x & ~(std::uint64_t{3} << (2 * k))) | (t << (2 * k));
-            if (cand == x) continue;
-            const double ce = h_.energy_scratch(cand, scratch);
-            if (ce < e - 1e-12) {
-              e = ce;
-              x = cand;
-              improved = true;
-              break;
-            }
-          }
-        }
-        if (improved) continue;
-        // Two-turn moves (escape shallow single-move local minima).
-        for (int k1 = 0; k1 < free_turns && !improved; ++k1) {
-          for (int k2 = k1 + 1; k2 < free_turns && !improved; ++k2) {
-            for (std::uint64_t t1 = 0; t1 < 4 && !improved; ++t1) {
-              for (std::uint64_t t2 = 0; t2 < 4; ++t2) {
-                std::uint64_t cand = (x & ~(std::uint64_t{3} << (2 * k1))) | (t1 << (2 * k1));
-                cand = (cand & ~(std::uint64_t{3} << (2 * k2))) | (t2 << (2 * k2));
-                if (cand == x) continue;
-                const double ce = h_.energy_scratch(cand, scratch);
-                if (ce < e - 1e-12) {
-                  e = ce;
-                  x = cand;
-                  improved = true;
-                  break;
-                }
-              }
-            }
-          }
-        }
-      }
-      return std::pair<std::uint64_t, double>{x, e};
-    };
-
-    // Pick the lowest-energy distinct starting samples (the histogram scores
-    // are reused — no re-evaluation of the stage-2 shots).
     std::vector<std::pair<double, std::uint64_t>> ranked;
     ranked.reserve(final_scored.size());
     for (const ScoredBit& s : final_scored) ranked.emplace_back(s.energy, s.x);
     std::sort(ranked.begin(), ranked.end());
-    const std::size_t starts = std::min<std::size_t>(48, ranked.size());
-    // Independent descents run in parallel; the winner is reduced serially
-    // in start order so the result is identical to the serial loop.
-    std::vector<std::pair<std::uint64_t, double>> descended(starts);
-    parallel_for(static_cast<std::int64_t>(starts), [&](std::int64_t s) {
-      const auto idx = static_cast<std::size_t>(s);
-      descended[idx] = descend(ranked[idx].second, ranked[idx].first);
-    });
-    for (std::size_t s = 0; s < starts; ++s) {
-      const auto [x, e] = descended[s];
+    ranked.resize(std::min<std::size_t>(48, ranked.size()));
+    const RefineOutcome refined = refine_descents(h_, ranked);
+    for (const auto& [x, e] : refined.minima) {
       if (e < best_e) {
         best_e = e;
         best_x = x;
       }
     }
+    static obs::Counter& refine_energies = obs::counter("vqe.refine.energies");
+    static obs::Counter& refine_memo_hits = obs::counter("vqe.refine.memo_hits");
+    static obs::Counter& refine_merged = obs::counter("vqe.refine.merged");
+    refine_energies.add(refined.energies);
+    refine_memo_hits.add(refined.memo_hits);
+    refine_merged.add(refined.merged);
   }
   result.best_bitstring = best_x;
   result.best_energy = best_e;
   result.energy_cache_hits = cache.hits();
   static obs::Counter& cache_hits = obs::counter("vqe.energy_cache.hits");
+  static obs::Counter& simulated = obs::counter("vqe.trajectories.simulated");
+  static obs::Counter& reused = obs::counter("vqe.trajectories.reused");
   cache_hits.add(cache.hits());
+  simulated.add(trajectories_simulated);
+  reused.add(trajectories_reused);
 
   // Resource metadata.
   result.logical_qubits = nq;

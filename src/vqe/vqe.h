@@ -18,6 +18,7 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -169,6 +170,27 @@ struct VqeResult {
   std::size_t stage2_distinct = 0;    // distinct bitstrings in stage-2 shots
   std::size_t energy_cache_hits = 0;  // memo hits across both stages
 };
+
+/// Outcome and work tallies of refine_descents.
+struct RefineOutcome {
+  /// minima[i] is the (bitstring, energy) local minimum starts[i] reaches.
+  std::vector<std::pair<std::uint64_t, double>> minima;
+  std::size_t energies = 0;   // energy_scratch evaluations run
+  std::size_t memo_hits = 0;  // candidate energies served by the slot memo
+  std::size_t merged = 0;     // descents that reached an earlier one's path
+};
+
+/// Classical refinement of measured conformations (the classical half of
+/// the hybrid workflow): from each start (energy, bitstring), with the
+/// energy as h scores it, a greedy descent takes the first improving
+/// single-turn change, else the first improving two-turn change, until
+/// neither improves.  Runs the descents in start order on the calling
+/// thread.  Each candidate energy is looked up in a 4096-slot memo first,
+/// and a descent that reaches a state an earlier descent passed through
+/// takes that descent's minimum, so the minima are bit for bit those of
+/// running every descent on its own.
+RefineOutcome refine_descents(const FoldingHamiltonian& h,
+                              std::span<const std::pair<double, std::uint64_t>> starts);
 
 class VqeDriver {
  public:

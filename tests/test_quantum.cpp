@@ -271,6 +271,27 @@ TEST(Mps, HandlesNonAdjacentGates) {
   }
 }
 
+TEST(Mps, ApplyTalliesSvdsAndPeakBondOncePerCall) {
+  // cx(0,1) runs one SVD; cx(0,3) routes over two swaps there and back, so
+  // 2 + 1 + 2 more.  The three-qubit GHZ state has bond 2 across every cut.
+  Circuit c(5);
+  c.h(0).cx(0, 1).cx(0, 3);
+  obs::Counter& svds = obs::counter("mps.svds");
+  obs::Histogram& peak = obs::histogram("mps.peak_bond");
+  const auto svds0 = svds.value();
+  const auto applies0 = peak.count();
+  const auto peak0 = peak.total();
+  MpsSimulator mps(5);
+  mps.apply(c);
+  EXPECT_EQ(svds.value() - svds0, 6u);
+  EXPECT_EQ(peak.count() - applies0, 1u);
+  EXPECT_EQ(peak.total() - peak0, 2u);
+  mps.apply(Circuit(5));  // an empty circuit keeps the bond it found
+  EXPECT_EQ(svds.value() - svds0, 6u);
+  EXPECT_EQ(peak.count() - applies0, 2u);
+  EXPECT_EQ(peak.total() - peak0, 4u);
+}
+
 TEST(Mps, GhzStateAmplitudesAndSampling) {
   const int nq = 10;
   Circuit c(nq);
@@ -515,6 +536,49 @@ TEST(Noise, TrajectoriesInsertErrorsAtExpectedRate) {
   const Circuit noisy = noise_trajectory(c, m, rng);
   const std::size_t inserted = noisy.size() - c.size();
   EXPECT_NEAR(static_cast<double>(inserted), 100.0, 25.0);
+}
+
+TEST(Noise, TrajectoryIsCleanIffItDrewNoError) {
+  // VqeDriver::run reuses the simulated state across clean trajectories, so
+  // it relies on this contract: a trajectory that reports no error drawn is
+  // gate for gate the logical circuit, and every drawn error appends at
+  // least one gate (at most two: a two-qubit Pauli).  Reporting the count
+  // must not move the RNG stream either.
+  const EfficientSU2 ansatz(6, 2);
+  Rng init(4);
+  const Circuit c = ansatz.build(ansatz.initial_point(init, 1.0));
+  const NoiseModel m = NoiseModel::eagle_r3().scaled(8.0);
+  int clean = 0, dirty = 0;
+  for (std::uint64_t seed = 0; seed < 400; ++seed) {
+    Rng counted(seed), plain(seed);
+    std::size_t errors = 99;
+    const Circuit noisy = noise_trajectory(c, m, counted, &errors);
+    const Circuit same = noise_trajectory(c, m, plain);
+    ASSERT_EQ(counted(), plain());
+    ASSERT_EQ(noisy.size(), same.size());
+    const std::size_t added = noisy.size() - c.size();
+    EXPECT_GE(added, errors);
+    EXPECT_LE(added, 2 * errors);
+    if (errors == 0) {
+      ++clean;
+      ASSERT_EQ(noisy.size(), c.size());
+      for (std::size_t i = 0; i < c.size(); ++i) {
+        const Gate& a = noisy.gates()[i];
+        const Gate& b = c.gates()[i];
+        EXPECT_TRUE(a.kind == b.kind && a.q0 == b.q0 && a.q1 == b.q1 &&
+                    a.angle == b.angle);
+      }
+    } else {
+      ++dirty;
+      EXPECT_GT(noisy.size(), c.size());
+    }
+  }
+  EXPECT_GT(clean, 20);  // both outcomes are exercised
+  EXPECT_GT(dirty, 20);
+  Rng rng(1);
+  std::size_t errors = 99;
+  noise_trajectory(c, NoiseModel::ideal(), rng, &errors);
+  EXPECT_EQ(errors, 0u);
 }
 
 TEST(Noise, ReadoutErrorFlipsBitsAtConfiguredRate) {

@@ -4,9 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/error.h"
+#include "common/fault.h"
+#include "common/rng.h"
+#include "data/registry.h"
 #include "lattice/solver.h"
+#include "obs/metrics.h"
 #include "vqe/exec_time.h"
 #include "vqe/vqe.h"
 
@@ -85,6 +90,220 @@ TEST(Vqe, DeterministicPerSeed) {
   EXPECT_EQ(a.best_bitstring, b.best_bitstring);
   EXPECT_DOUBLE_EQ(a.lowest_energy, b.lowest_energy);
   EXPECT_DOUBLE_EQ(a.best_cvar, b.best_cvar);
+}
+
+std::uint64_t bits(double v) {
+  std::uint64_t b;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+/// FNV-1a over the bit patterns of a sequence of doubles.
+std::uint64_t digest(const std::vector<double>& values) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (double v : values) {
+    const std::uint64_t b = bits(v);
+    for (int i = 0; i < 8; ++i) {
+      h ^= (b >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+TEST(Vqe, GoldenBitsMatchParent) {
+  // Bit patterns recorded before clean noise trajectories reused the
+  // simulated state and the refine descents shared one memo: a VQE run must
+  // not move by a single bit.  One entry per engine: fused dense (10
+  // qubits), MPS at 16 and at 22 qubits.
+  struct Golden {
+    const char* id;
+    std::uint64_t best_bitstring;
+    std::uint64_t best_energy, best_cvar, lowest, highest, mean, sampled_min;
+    std::size_t stage2_distinct, energy_cache_hits;
+    std::uint64_t history;
+  };
+  const Golden cases[] = {
+      {"6p86", 0x113ULL, 0x4093948bb72f01cdULL, 0x4093afedd95123efULL,
+       0x4093afedd95123efULL, 0x40b0e5a37f6e7437ULL, 0x40ab7cc5e5cb3c0aULL,
+       0x4093ac9cc84012deULL, 93, 1777, 0x8e68f29339d61a33ULL},
+      {"2qbs", 0x8e1cULL, 0x40b8a691e805c7b2ULL, 0x40c1c34aaad072d5ULL,
+       0x40c1c34aaad072d5ULL, 0x40d2d9fdb4695cb0ULL, 0x40ce75d474ed3efcULL,
+       0x40c1fe78c6800bacULL, 438, 4803, 0x66b7c07c8da615c7ULL},
+      {"4jpy", 0x3639ecULL, 0x40d59a836ddce9caULL, 0x40e280f81b9ff330ULL,
+       0x40e280f81b9ff330ULL, 0x40f00ab1ebf6a8cfULL, 0x40e98e1f789364f8ULL,
+       0x40e3fc90b384a4afULL, 489, 5537, 0x7a5132d9e58dde93ULL},
+  };
+  for (const Golden& g : cases) {
+    SCOPED_TRACE(g.id);
+    const auto h = make_h(entry_by_id(g.id).sequence);
+    VqeOptions o = fast_options(31);
+    o.max_evaluations = 20;  // the COBYLA simplex sets the floor
+    o.shots_per_eval = 96;
+    o.final_shots = 1500;
+    o.run_id = g.id;
+    const VqeResult r = VqeDriver(h, o).run();
+    EXPECT_EQ(r.best_bitstring, g.best_bitstring);
+    EXPECT_EQ(bits(r.best_energy), g.best_energy);
+    EXPECT_EQ(bits(r.best_cvar), g.best_cvar);
+    EXPECT_EQ(bits(r.lowest_energy), g.lowest);
+    EXPECT_EQ(bits(r.highest_energy), g.highest);
+    EXPECT_EQ(bits(r.mean_energy), g.mean);
+    EXPECT_EQ(bits(r.sampled_min_energy), g.sampled_min);
+    EXPECT_EQ(r.stage2_distinct, g.stage2_distinct);
+    EXPECT_EQ(r.energy_cache_hits, g.energy_cache_hits);
+    EXPECT_EQ(digest(r.history), g.history);
+  }
+}
+
+/// The refine descent as it ran before the memo and the path merge: one
+/// greedy descent, every candidate scored afresh.  `calls` counts the
+/// energies it scored; `path` collects the states it passed through.
+std::pair<std::uint64_t, double> naive_descent(const FoldingHamiltonian& h, std::uint64_t x,
+                                               double e, std::size_t& calls,
+                                               std::vector<std::uint64_t>* path = nullptr) {
+  const int free_turns = h.length() - 3;
+  bool improved = true;
+  while (improved) {
+    if (path != nullptr) path->push_back(x);
+    improved = false;
+    for (int k = 0; k < free_turns && !improved; ++k) {
+      for (std::uint64_t t = 0; t < 4; ++t) {
+        const std::uint64_t cand = (x & ~(std::uint64_t{3} << (2 * k))) | (t << (2 * k));
+        if (cand == x) continue;
+        ++calls;
+        const double ce = h.energy(cand);
+        if (ce < e - 1e-12) {
+          e = ce;
+          x = cand;
+          improved = true;
+          break;
+        }
+      }
+    }
+    if (improved) continue;
+    for (int k1 = 0; k1 < free_turns && !improved; ++k1) {
+      for (int k2 = k1 + 1; k2 < free_turns && !improved; ++k2) {
+        for (std::uint64_t t1 = 0; t1 < 4 && !improved; ++t1) {
+          for (std::uint64_t t2 = 0; t2 < 4; ++t2) {
+            std::uint64_t cand = (x & ~(std::uint64_t{3} << (2 * k1))) | (t1 << (2 * k1));
+            cand = (cand & ~(std::uint64_t{3} << (2 * k2))) | (t2 << (2 * k2));
+            if (cand == x) continue;
+            ++calls;
+            const double ce = h.energy(cand);
+            if (ce < e - 1e-12) {
+              e = ce;
+              x = cand;
+              improved = true;
+              break;
+            }
+          }
+        }
+      }
+    }
+  }
+  return {x, e};
+}
+
+TEST(VqeRefine, MemoisedDescentsMatchNaiveDescents) {
+  // Every start of refine_descents must reach the minimum its own naive
+  // descent reaches, bit for bit.  The 22-qubit entries score far more
+  // distinct candidates than the memo has slots, so slots collide; a start
+  // placed on an intermediate state of the first descent must merge.
+  for (const char* id : {"6p86", "2qbs", "4jpy", "6udv"}) {
+    SCOPED_TRACE(id);
+    const auto h = make_h(entry_by_id(id).sequence);
+    const std::uint64_t mask = (std::uint64_t{1} << h.num_qubits()) - 1;
+    Rng rng(fnv1a(id));
+    std::vector<std::pair<double, std::uint64_t>> starts;
+    for (int i = 0; i < 40; ++i) {
+      const std::uint64_t x = rng() & mask;
+      starts.emplace_back(h.energy(x), x);
+    }
+    std::size_t calls = 0;
+    std::vector<std::uint64_t> path;
+    naive_descent(h, starts[0].second, starts[0].first, calls, &path);
+    ASSERT_GE(path.size(), 3u) << "the first descent must pass through a state";
+    const std::uint64_t mid = path[path.size() / 2];
+    starts.emplace_back(h.energy(mid), mid);
+    starts.push_back(starts[3]);  // a repeated start merges at once
+
+    const RefineOutcome out = refine_descents(h, starts);
+    ASSERT_EQ(out.minima.size(), starts.size());
+    calls = 0;
+    for (std::size_t i = 0; i < starts.size(); ++i) {
+      const auto [x, e] = naive_descent(h, starts[i].second, starts[i].first, calls);
+      EXPECT_EQ(out.minima[i].first, x) << "start " << i;
+      EXPECT_EQ(bits(out.minima[i].second), bits(e)) << "start " << i;
+    }
+    EXPECT_GE(out.merged, 2u);
+    EXPECT_GT(out.memo_hits, 0u);
+    EXPECT_LT(out.energies + out.memo_hits, calls);  // merged descents stop early
+    // More fresh evaluations than slots: some key was evicted or re-scored.
+    if (h.num_qubits() == 22) {
+      EXPECT_GT(out.energies, 4096u);
+    }
+  }
+}
+
+/// Run `h` with `o` and return how many trajectories it simulated and how
+/// many reused the state of the one before.
+std::pair<std::uint64_t, std::uint64_t> trajectory_counts(const FoldingHamiltonian& h,
+                                                          const VqeOptions& o) {
+  obs::Counter& simulated = obs::counter("vqe.trajectories.simulated");
+  obs::Counter& reused = obs::counter("vqe.trajectories.reused");
+  const auto s0 = simulated.value();
+  const auto r0 = reused.value();
+  VqeDriver(h, o).run();
+  return {simulated.value() - s0, reused.value() - r0};
+}
+
+TEST(Vqe, CleanTrajectoriesReuseTheSimulatedState) {
+  for (const char* seq : {"VYSSGIPL", "HCSAGIGRSGT"}) {  // dense, MPS
+    SCOPED_TRACE(seq);
+    const auto h = make_h(seq);
+    VqeOptions o = fast_options(3);
+    o.max_evaluations = 10;
+    o.final_shots = 1000;
+    const auto [simulated, reused] = trajectory_counts(h, o);
+    EXPECT_GT(reused, 0u);
+    EXPECT_GT(simulated, reused);
+    o.noise = NoiseModel::ideal();  // one trajectory per call: nothing to reuse
+    const auto [ideal_simulated, ideal_reused] = trajectory_counts(h, o);
+    EXPECT_EQ(ideal_reused, 0u);
+    EXPECT_GT(ideal_simulated, 0u);
+  }
+}
+
+TEST(Vqe, ReusedTrajectoryKeepsTheEngineFaultNumbering) {
+  // With no gate errors every trajectory is clean, so the second trajectory
+  // of the first evaluation reuses the first one's state.  It must still
+  // count as the second call of the engine's fault site and fire there,
+  // before a second evaluation starts.
+  const auto h = make_h("VYSSGIPL");
+  FaultInjector& fi = FaultInjector::instance();
+  for (const auto engine : {VqeOptions::Engine::Dense, VqeOptions::Engine::Mps}) {
+    const char* site =
+        engine == VqeOptions::Engine::Dense ? "engine.dense.apply" : "engine.mps.apply";
+    SCOPED_TRACE(site);
+    fi.clear();
+    FaultSiteConfig cfg;
+    cfg.trigger_on_nth = 2;
+    fi.configure(site, cfg);
+    VqeOptions o = fast_options(5);
+    o.engine = engine;
+    o.noise = NoiseModel{};
+    o.noise.p_readout_01 = 0.01;  // not ideal: two trajectories per evaluation
+    obs::Counter& evals = obs::counter("vqe.stage1.evals");
+    const auto evals0 = evals.value();
+    {
+      FaultScope scope("fault-numbering", 1);
+      EXPECT_THROW(VqeDriver(h, o).run(), TransientDeviceError);
+    }
+    EXPECT_EQ(fi.fire_count(site), 1u);
+    EXPECT_EQ(evals.value() - evals0, 1u);
+  }
+  fi.clear();
 }
 
 TEST(Vqe, SeedsChangeTrajectories) {
