@@ -493,19 +493,16 @@ int cmd_serve(int argc, char** argv) {
   }
   server.stop();
 
-  const serve::ServerMetrics& m = server.metrics();
-  const std::uint64_t total = m.requests_total.load(std::memory_order_relaxed);
+  // The request counts live in the process-wide registry; this process ran
+  // one server, so they are this server's.
+  const auto count = [](const char* name) {
+    return static_cast<unsigned long long>(obs::counter(name).value());
+  };
   std::printf("qdb: shut down cleanly after %llu requests "
               "(2xx %llu, 3xx %llu, 4xx %llu, 5xx %llu)\n",
-              static_cast<unsigned long long>(total),
-              static_cast<unsigned long long>(
-                  m.responses_2xx.load(std::memory_order_relaxed)),
-              static_cast<unsigned long long>(
-                  m.responses_3xx.load(std::memory_order_relaxed)),
-              static_cast<unsigned long long>(
-                  m.responses_4xx.load(std::memory_order_relaxed)),
-              static_cast<unsigned long long>(
-                  m.responses_5xx.load(std::memory_order_relaxed)));
+              count("serve.requests"), count("serve.responses_2xx"),
+              count("serve.responses_3xx"), count("serve.responses_4xx"),
+              count("serve.responses_5xx"));
   std::printf("  blob cache: %zu hits, %zu misses (hit rate %.1f%%)\n",
               s.cache().hits(), s.cache().misses(), 100.0 * s.cache().hit_rate());
   return 0;

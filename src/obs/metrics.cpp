@@ -10,14 +10,19 @@
 
 namespace qdb::obs {
 
-Json Histogram::to_json(const char* le_key, const char* total_key) const {
+namespace {
+
+/// The cumulative `le` table both JSON exports render, from raw bucket
+/// counts (see Histogram::to_json for the shape).
+Json le_table_json(const std::uint64_t* raw, std::uint64_t total, const char* le_key,
+                   const char* total_key) {
   Json buckets = Json::array();
   std::uint64_t cumulative = 0;
-  for (int b = 0; b <= kBuckets; ++b) {
-    cumulative += counts_[b].load(std::memory_order_relaxed);
+  for (int b = 0; b <= Histogram::kBuckets; ++b) {
+    cumulative += raw[b];
     Json bucket = Json::object();
-    if (b < kBuckets) {
-      bucket.set(le_key, static_cast<std::int64_t>(le_bound(b)));
+    if (b < Histogram::kBuckets) {
+      bucket.set(le_key, static_cast<std::int64_t>(Histogram::le_bound(b)));
     } else {
       bucket.set(le_key, "+Inf");
     }
@@ -27,8 +32,16 @@ Json Histogram::to_json(const char* le_key, const char* total_key) const {
   Json j = Json::object();
   j.set("buckets", std::move(buckets));
   j.set("count", static_cast<std::int64_t>(cumulative));
-  j.set(total_key, static_cast<std::int64_t>(total()));
+  j.set(total_key, static_cast<std::int64_t>(total));
   return j;
+}
+
+}  // namespace
+
+Json Histogram::to_json(const char* le_key, const char* total_key) const {
+  std::uint64_t raw[kBuckets + 1];
+  for (int b = 0; b <= kBuckets; ++b) raw[b] = bucket_count(b);
+  return le_table_json(raw, total(), le_key, total_key);
 }
 
 std::uint64_t Snapshot::HistogramSample::count() const {
@@ -166,24 +179,7 @@ Json MetricRegistry::to_json() const {
   j.set("gauges", std::move(gauges));
   Json hists = Json::object();
   for (const Snapshot::HistogramSample& h : snap.histograms) {
-    Json hj = Json::object();
-    Json buckets = Json::array();
-    std::uint64_t cumulative = 0;
-    for (int b = 0; b <= Histogram::kBuckets; ++b) {
-      cumulative += h.buckets[static_cast<std::size_t>(b)];
-      Json bucket = Json::object();
-      if (b < Histogram::kBuckets) {
-        bucket.set("le", static_cast<std::int64_t>(Histogram::le_bound(b)));
-      } else {
-        bucket.set("le", "+Inf");
-      }
-      bucket.set("count", static_cast<std::int64_t>(cumulative));
-      buckets.push_back(std::move(bucket));
-    }
-    hj.set("buckets", std::move(buckets));
-    hj.set("count", static_cast<std::int64_t>(cumulative));
-    hj.set("total", static_cast<std::int64_t>(h.total));
-    hists.set(h.name, std::move(hj));
+    hists.set(h.name, le_table_json(h.buckets.data(), h.total, "le", "total"));
   }
   j.set("histograms", std::move(hists));
   // snap.labeled is sorted by (family, label), so families group contiguously.

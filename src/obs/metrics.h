@@ -4,9 +4,8 @@
 // power-of-two latency histograms, registered once (get-or-create by dotted
 // name) and updated through relaxed atomics — they are telemetry, not
 // synchronisation (the BoundedEnergyCache counter doctrine, generalised).
-// The power-of-two Histogram here is serve::LatencyHistogram promoted out of
-// the serve layer: collapse a high-rate stream into bins before anyone looks
-// at it, exactly the quantum/histogram philosophy.
+// The power-of-two Histogram collapses a high-rate stream into bins before
+// anyone looks at it, exactly the quantum/histogram philosophy.
 //
 // Usage pattern (static handle, one registry lookup per call site ever):
 //
@@ -84,7 +83,6 @@ class Histogram {
   static constexpr int kBuckets = 36;
 
   explicit Histogram(std::string name) : name_(std::move(name)) {}
-  Histogram() = default;  // serve::ServerMetrics embeds one by value
 
   void record(std::uint64_t value) {
     int b = value == 0 ? 0 : static_cast<int>(std::bit_width(value)) - 1;
@@ -122,8 +120,9 @@ class Histogram {
 
   /// {"buckets": [{"<le_key>": 1, "count": n}, ..., {"<le_key>": "+Inf"}],
   ///  "count": N, "<total_key>": T} — counts are cumulative (le semantics).
-  /// serve keeps its historical "le_us"/"total_us" keys through this hook.
-  Json to_json(const char* le_key = "le", const char* total_key = "total") const;
+  /// The registry's export uses "le"/"total"; the server's /metrics
+  /// "requests" section renders serve.request_us with "le_us"/"total_us".
+  Json to_json(const char* le_key, const char* total_key) const;
 
  private:
   std::string name_;

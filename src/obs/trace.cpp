@@ -39,6 +39,26 @@ int& tl_depth() {
   return depth;
 }
 
+/// The registry histogram span.<name>, looked up by name once per thread and
+/// cache slot rather than at every span end.  Span names are string literals
+/// (trace.h), so the name's address is the key; a slot two names share is
+/// looked up again on each switch.  Trivially destructible, so spans ended
+/// during static destruction still find it.
+Histogram& span_histogram(const char* name) {
+  struct Slot {
+    const char* name = nullptr;
+    Histogram* histogram = nullptr;
+  };
+  constexpr std::size_t kSlots = 64;
+  thread_local Slot slots[kSlots];
+  Slot& slot = slots[(reinterpret_cast<std::uintptr_t>(name) >> 3) % kSlots];
+  if (slot.name != name) {
+    slot.histogram = &MetricRegistry::global().histogram(std::string("span.") + name);
+    slot.name = name;
+  }
+  return *slot.histogram;
+}
+
 std::uint64_t micros_between(std::chrono::steady_clock::time_point from,
                              std::chrono::steady_clock::time_point to) {
   const auto us =
@@ -365,7 +385,7 @@ Span::~Span() {
   flight_record_span(name_, dur_us, trace_hi_, trace_lo_, span_id_, parent_id_);
   // Always mirrored into the registry so span totals are observable (and
   // cross-checkable against a session's events) through /metrics.
-  MetricRegistry::global().histogram(std::string("span.") + name_).record(dur_us);
+  span_histogram(name_).record(dur_us);
   if (session_ != nullptr && buffer_ != nullptr) {
     TraceEvent ev;
     ev.name = name_;

@@ -238,7 +238,9 @@ class TraceSession {
   std::string process_name_;
 };
 
-/// RAII timed region.  `name` must outlive the span (string literals).
+/// RAII timed region.  `name` must be a string literal: a span's end finds
+/// its span.<name> histogram through a per-thread cache keyed by the name's
+/// address.
 /// Construction costs one steady_clock read plus one relaxed atomic load
 /// when no session is active.
 class Span {

@@ -72,10 +72,12 @@ class FusedEngine {
 
   /// Fuse with the precision's default policy (f64: exact, f32: matrix
   /// fusion) and execute.  Mirrors Statevector::apply(Circuit) including
-  /// the fault-injection site and the norm audit.
+  /// the fault-injection site and the norm audit.  The one place the
+  /// kernel.fused.gates_in / kernel.fused.ops counters are added to.
   void apply(const Circuit& c);
 
-  /// Execute an already-fused program (bench and sweep entry point).
+  /// Execute an already-fused program (bench, tuner and sweep entry point);
+  /// adds nothing to the fusion counters.
   void apply(const FusedProgram& p);
 
   /// Amplitudes widened to double (exact for f64, value-preserving for f32).

@@ -237,9 +237,12 @@ ReceptorGrid ReceptorGrid::deserialize(const std::string& bytes) {
   g.weights_.hydrophobic = double_of(next());
   g.weights_.hbond = double_of(next());
   g.weights_.rot_penalty = double_of(next());
-  if (g.spec_.nx < 2 || g.spec_.ny < 2 || g.spec_.nz < 2 ||
-      g.spec_.nx * g.spec_.ny * g.spec_.nz > (std::int64_t{1} << 27) ||
-      !(g.spec_.spacing > 0.0)) {
+  // Each axis is bounded before any product, so crafted dimensions cannot
+  // overflow: nx * ny is at most 2^54, and nz divides rather than multiplies.
+  constexpr std::int64_t kMaxNodes = std::int64_t{1} << 27;
+  const auto axis_ok = [](std::int64_t n) { return n >= 2 && n <= kMaxNodes; };
+  if (!axis_ok(g.spec_.nx) || !axis_ok(g.spec_.ny) || !axis_ok(g.spec_.nz) ||
+      g.spec_.nx * g.spec_.ny > kMaxNodes / g.spec_.nz || !(g.spec_.spacing > 0.0)) {
     throw IoError("receptor grid: implausible dimensions");
   }
   const std::size_t nodes = static_cast<std::size_t>(g.num_nodes());

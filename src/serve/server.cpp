@@ -17,6 +17,57 @@ namespace qdb::serve {
 
 namespace {
 
+/// The server's request telemetry.  It lives only in the process-wide
+/// registry, behind static handles (one name lookup per process), so the
+/// /metrics "requests" section, the Prometheus exposition and trace dumps
+/// all read the same counts.  The counts are per process, which is per
+/// server: every process serves from one DatasetServer (DESIGN.md §9.4).
+struct RequestMetrics {
+  obs::Counter& requests = obs::counter("serve.requests");
+  obs::Counter& responses_2xx = obs::counter("serve.responses_2xx");
+  obs::Counter& responses_3xx = obs::counter("serve.responses_3xx");
+  obs::Counter& responses_4xx = obs::counter("serve.responses_4xx");
+  obs::Counter& responses_5xx = obs::counter("serve.responses_5xx");
+  obs::Counter& connections_accepted = obs::counter("serve.connections_accepted");
+  obs::Counter& bytes_sent = obs::counter("serve.bytes_sent");
+  obs::Histogram& latency = obs::histogram("serve.request_us");
+
+  /// Record one completed request (called after the response is sent).
+  void record(int status, std::uint64_t micros, std::uint64_t response_bytes) const {
+    requests.add();
+    (status >= 500   ? responses_5xx
+     : status >= 400 ? responses_4xx
+     : status >= 300 ? responses_3xx
+                     : responses_2xx)
+        .add();
+    bytes_sent.add(response_bytes);
+    latency.record(micros);
+  }
+
+  /// The /metrics "requests" section, in its historical keys and shape;
+  /// the latency buckets are cumulative (le semantics).
+  Json to_json() const {
+    const auto value = [](const obs::Counter& c) { return static_cast<std::int64_t>(c.value()); };
+    Json j = Json::object();
+    j.set("requests_total", value(requests));
+    Json by_class = Json::object();
+    by_class.set("2xx", value(responses_2xx));
+    by_class.set("3xx", value(responses_3xx));
+    by_class.set("4xx", value(responses_4xx));
+    by_class.set("5xx", value(responses_5xx));
+    j.set("responses", std::move(by_class));
+    j.set("connections_accepted", value(connections_accepted));
+    j.set("bytes_sent", value(bytes_sent));
+    j.set("latency", latency.to_json("le_us", "total_us"));
+    return j;
+  }
+};
+
+const RequestMetrics& request_metrics() {
+  static const RequestMetrics metrics;
+  return metrics;
+}
+
 constexpr Field kMetricsFields[] = {
     {.key = "format", .type = FieldType::OneOf, .choices = "json|prometheus"},
 };
@@ -184,7 +235,7 @@ void DatasetServer::accept_loop() {
   for (;;) {
     Socket conn = tcp_accept(listener_);
     if (!conn.valid()) return;  // listener shut down
-    metrics_.connections_accepted.fetch_add(1, std::memory_order_relaxed);
+    request_metrics().connections_accepted.add();
     {
       const MutexLock lock(queue_mu_);
       queue_cv_.wait(queue_mu_, [this]() QDB_REQUIRES(queue_mu_) {
@@ -355,7 +406,7 @@ void DatasetServer::serve_connection(Socket conn) {
       keep_alive = false;  // peer went away mid-response
     }
     // Recorded after the send so a /metrics body never counts itself.
-    metrics_.record(response.status, micros, wire.size());
+    request_metrics().record(response.status, micros, wire.size());
   }
 
   {
@@ -472,6 +523,9 @@ HttpResponse DatasetServer::handle_artifact(const HttpRequest& request,
 
 HttpResponse DatasetServer::handle_metrics(const HttpRequest& request) const {
   const Params params = request_params(request, {}, kMetricsFields);
+  // Registers the serve.* families, so both formats carry them from the
+  // first scrape on.
+  const RequestMetrics& requests = request_metrics();
   if (params.get<std::string>("format") == "prometheus") {
     HttpResponse resp;
     resp.content_type = "text/plain; version=0.0.4; charset=utf-8";
@@ -479,7 +533,7 @@ HttpResponse DatasetServer::handle_metrics(const HttpRequest& request) const {
     return resp;
   }
   Json body = Json::object();
-  body.set("requests", metrics_.to_json());
+  body.set("requests", requests.to_json());
 
   const store::BlobCache& cache = store_.cache();
   Json cache_json = Json::object();

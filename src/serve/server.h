@@ -53,7 +53,6 @@
 #include "common/annotations.h"
 #include "common/sync.h"
 #include "serve/http.h"
-#include "serve/metrics.h"
 #include "serve/net_socket.h"
 #include "store/store.h"
 
@@ -103,8 +102,6 @@ class DatasetServer {
   /// Actual bound port (after start()).
   std::uint16_t port() const { return port_; }
 
-  const ServerMetrics& metrics() const { return metrics_; }
-
   /// Mount a handler under `prefix` (e.g. "/jobs"): requests whose path is
   /// the prefix or starts with prefix + "/" route to it, before the built-in
   /// dataset endpoints, and are the only requests allowed to carry bodies.
@@ -133,7 +130,6 @@ class DatasetServer {
 
   const store::Store& store_;
   ServeOptions options_;
-  ServerMetrics metrics_;
   std::vector<std::pair<std::string, RouteHandler>> routes_;
 
   Socket listener_;

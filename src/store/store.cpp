@@ -23,6 +23,11 @@ namespace {
 
 constexpr char kIndexMagic[8] = {'Q', 'D', 'B', 'S', 'I', 'D', 'X', '1'};
 constexpr std::uint32_t kIndexVersion = 1;
+// The smallest encoded index record: empty pdb_id and sequence (two u32
+// lengths), the group byte, length and qubits (u32 each), two doubles, and
+// three artifacts of a u32-prefixed 32-char hash plus a u64 size.
+constexpr std::size_t kMinRecordBytes = 4 + 1 + 4 + 4 + 4 + 8 + 8 + 3 * (4 + 32 + 8);
+static_assert(kMinRecordBytes == 165);
 
 // --- binary little-endian serialisation helpers -----------------------------
 
@@ -216,6 +221,12 @@ std::vector<EntryRecord> parse_index(std::string_view bytes) {
     throw IoError("store index: unsupported version " + std::to_string(version));
   }
   const std::uint64_t count = reader.u64();
+  // A forged trailer can carry any count: refuse one the bytes left cannot
+  // hold before reserving for it.
+  if (count > reader.remaining() / kMinRecordBytes) {
+    throw IoError("store index: " + std::to_string(count) + " records cannot fit in " +
+                  std::to_string(reader.remaining()) + " bytes");
+  }
   std::vector<EntryRecord> entries;
   entries.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
@@ -368,8 +379,10 @@ IngestStats Store::ingest_dataset(const std::string& dataset_root) {
 std::string Store::put_blob(std::string_view bytes) const {
   const std::string hash = content_hash(bytes).hex();
   const std::string bp = blob_path(hash);
+  static obs::Counter& deduplicated = obs::counter("store.blobs_deduplicated");
+  static obs::Counter& written = obs::counter("store.blobs_written");
   if (fs::exists(bp)) {
-    obs::counter("store.blobs_deduplicated").add();
+    deduplicated.add();
     return hash;
   }
   // Same crash-consistency argument as ingest_dataset: tmp + fsync + rename
@@ -378,7 +391,7 @@ std::string Store::put_blob(std::string_view bytes) const {
   // the same path with identical contents, so last-rename-wins is harmless.
   fault_site("store.ingest.io");
   write_file_atomic(bp, std::string(bytes));
-  obs::counter("store.blobs_written").add();
+  written.add();
   return hash;
 }
 

@@ -316,6 +316,17 @@ TEST_F(TunerCacheTest, MalformedCacheIsIgnoredNotFatal) {
   EXPECT_EQ(doc.at("version").as_int(), Tuner::kFormatVersion);
 }
 
+TEST_F(TunerCacheTest, ColdTuningLeavesFusionCountersUnchanged) {
+  // The timing runs apply a program fused once up front, so the fusion
+  // counters do not depend on whether the tuner cache was cold.
+  const auto gates_before = obs::counter("kernel.fused.gates_in").value();
+  const auto ops_before = obs::counter("kernel.fused.ops").value();
+  const TunerPlan plan = Tuner::global().plan_for(12, Precision::f32);
+  EXPECT_EQ(plan.source, "tuned");
+  EXPECT_EQ(obs::counter("kernel.fused.gates_in").value(), gates_before);
+  EXPECT_EQ(obs::counter("kernel.fused.ops").value(), ops_before);
+}
+
 TEST_F(TunerCacheTest, SmallRegistersResolveWithoutBenchmarking) {
   const auto tuned_before = obs::counter("kernel.tuner.tuned").value();
   const TunerPlan plan = Tuner::global().plan_for(4, Precision::f64);
@@ -407,8 +418,6 @@ TEST(TunerCacheLocation, DefaultsToTheUserCacheDirectoryNotTheWorkingDirectory) 
 TEST(FusedEngineCounters, FusionAccountingIsRecorded) {
   const int nq = 9;
   const Circuit native = transpiled_ansatz(nq, 53);
-  // Construct first: the ctor may run the autotuner, whose benchmark workload
-  // itself bumps the kernel.* counters.
   FusedEngine eng(nq, Precision::f32);
   const auto gates_before = obs::counter("kernel.fused.gates_in").value();
   const auto ops_before = obs::counter("kernel.fused.ops").value();

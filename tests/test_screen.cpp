@@ -16,6 +16,7 @@
 #include "common/error.h"
 #include "common/fault.h"
 #include "common/json.h"
+#include "common/rng.h"
 #include "data/dataset_io.h"
 #include "data/registry.h"
 #include "dataset_fixture.h"
@@ -267,6 +268,19 @@ TEST_F(GridTest, DeserializeRefusesCorruptImages) {
   std::string flipped = bytes;
   flipped[bytes.size() / 2] = static_cast<char>(flipped[bytes.size() / 2] ^ 0x40);
   EXPECT_THROW(ReceptorGrid::deserialize(flipped), IoError);
+}
+
+TEST_F(GridTest, DeserializeRefusesOverflowingDimensions) {
+  // Axes of 2^32 each, whose product wraps a signed 64-bit integer, behind a
+  // re-sealed trailer: only the dimension check stands in the way.
+  std::string bytes = grid_->serialize();
+  const auto put = [&](std::size_t at, std::uint64_t x) {
+    for (std::size_t i = 0; i < 8; ++i) bytes[at + i] = static_cast<char>((x >> (8 * i)) & 0xFF);
+  };
+  // Magic, spacing, ox, oy and oz (8 bytes each) precede nx, ny and nz.
+  for (std::size_t axis = 0; axis < 3; ++axis) put(40 + 8 * axis, std::uint64_t{1} << 32);
+  put(bytes.size() - 8, fnv1a(std::string_view(bytes).substr(0, bytes.size() - 8)));
+  EXPECT_THROW(ReceptorGrid::deserialize(bytes), IoError);
 }
 
 TEST_F(GridTest, BuildIsIdenticalAcrossThreadCounts) {

@@ -1,9 +1,9 @@
 // Tests for the dataset service (ISSUE 4): HTTP message parsing, the
-// socket-free request router (filters, ETag/304, 404/400/405), the metrics
-// histogram, live client/server round-trips, and the concurrent-load golden
-// test — 8 client threads x 100 mixed requests must produce byte-identical
-// bodies to a single-threaded run, with /metrics matching the request total
-// and a warm blob cache.
+// socket-free request router (filters, ETag/304, 404/400/405), the /metrics
+// latency histogram, live client/server round-trips, and the concurrent-load
+// golden test — 8 client threads x 100 mixed requests must produce
+// byte-identical bodies to a single-threaded run, with /metrics matching the
+// request total and a warm blob cache.
 #include <gtest/gtest.h>
 #include <unistd.h>  // getpid for per-process scratch directories
 
@@ -27,7 +27,6 @@
 #include "obs/trace.h"
 #include "serve/client.h"
 #include "serve/http.h"
-#include "serve/metrics.h"
 #include "serve/server.h"
 #include "serve/trace_api.h"
 #include "store/store.h"
@@ -83,27 +82,6 @@ TEST(HttpParse, ResponseSerializeParseRoundTrip) {
   const std::string wire304 = serialize_response(resp, true);
   EXPECT_EQ(wire304.substr(wire304.find("\r\n\r\n") + 4), "");
   EXPECT_NE(wire304.find("Content-Length: 0"), std::string::npos);
-}
-
-TEST(Metrics, LatencyHistogramBucketsArePowerOfTwoCumulative) {
-  LatencyHistogram h;
-  h.record(0);
-  h.record(1);
-  h.record(3);    // bit_width 2 -> bucket le 2^1? (3 -> bucket 1? no: 2)
-  h.record(100);  // bucket 6 (64..127)
-  EXPECT_EQ(h.count(), 4u);
-  EXPECT_EQ(h.total_micros(), 104u);
-  const Json j = h.to_json();
-  EXPECT_EQ(j.at("count").as_int(), 4);
-  const JsonArray& buckets = j.at("buckets").as_array();
-  ASSERT_EQ(buckets.size(), static_cast<std::size_t>(LatencyHistogram::kBuckets) + 1);
-  // Cumulative: each bucket count is >= the previous, last equals total.
-  std::int64_t prev = 0;
-  for (const Json& b : buckets) {
-    EXPECT_GE(b.at("count").as_int(), prev);
-    prev = b.at("count").as_int();
-  }
-  EXPECT_EQ(prev, 4);
 }
 
 // --- router (socket-free) ---------------------------------------------------
@@ -211,6 +189,10 @@ TEST_F(ServeTest, MetricsFormatsAndParameterValidation) {
   for (const std::string& line : type_lines) {
     EXPECT_NE(line.find(" qdb_"), std::string::npos) << line;
   }
+  // The server's request families are declared from the first scrape on,
+  // before any request has been recorded.
+  EXPECT_NE(std::find(type_lines.begin(), type_lines.end(), "# TYPE qdb_serve_requests counter"),
+            type_lines.end());
 
   // Unknown formats and unknown parameters are rejected, not ignored.
   EXPECT_EQ(server.handle(get_request("/metrics?format=xml")).status, 400);
@@ -296,6 +278,38 @@ TEST_F(ServeTest, LiveRoundTripAndKeepAlive) {
   server.stop();
 }
 
+TEST_F(ServeTest, MetricsLatencyBucketsArePowerOfTwoCumulative) {
+  DatasetServer server(*store_, ephemeral_options(2));
+  server.start();
+  HttpClient client("127.0.0.1", server.port());
+  const Json before = Json::parse(client.get("/metrics").body).at("requests");
+  for (const char* target : {"/healthz", "/entries/1yc4", "/entries/zzzz"}) client.get(target);
+  // One keep-alive connection: each request is recorded before the next one
+  // is read, so this scrape counts the first scrape and the three reads.
+  const Json requests = Json::parse(client.get("/metrics").body).at("requests");
+  server.stop();
+
+  EXPECT_EQ(requests.at("requests_total").as_int(), before.at("requests_total").as_int() + 4);
+  const Json& latency = requests.at("latency");
+  EXPECT_EQ(latency.at("count").as_int(), requests.at("requests_total").as_int());
+  EXPECT_GE(latency.at("total_us").as_int(), before.at("latency").at("total_us").as_int());
+  const JsonArray& buckets = latency.at("buckets").as_array();
+  ASSERT_EQ(buckets.size(), static_cast<std::size_t>(obs::Histogram::kBuckets) + 1);
+  // Bucket b is le 2^b microseconds, then +Inf; counts are cumulative, and
+  // the last equals the count.
+  std::int64_t prev = 0;
+  for (std::size_t b = 0; b < buckets.size(); ++b) {
+    if (b + 1 < buckets.size()) {
+      EXPECT_EQ(buckets[b].at("le_us").as_int(), std::int64_t{1} << b);
+    } else {
+      EXPECT_EQ(buckets[b].at("le_us").as_string(), "+Inf");
+    }
+    EXPECT_GE(buckets[b].at("count").as_int(), prev);
+    prev = buckets[b].at("count").as_int();
+  }
+  EXPECT_EQ(prev, latency.at("count").as_int());
+}
+
 TEST_F(ServeTest, RestartServesAgainAndRunningIsRaceFree) {
   // Regression test (ISSUE 8): start() used to clear `stopping_` without
   // holding queue_mu_, unsynchronized against a previous generation's
@@ -372,11 +386,16 @@ TEST_F(ServeTest, ConcurrentLoadGolden) {
     server.stop();
   }
 
-  // Concurrent pass: fresh server (fresh metrics), 8 client threads x 100
-  // mixed requests, each thread its own connection.
+  // Concurrent pass: fresh server, 8 client threads x 100 mixed requests,
+  // each thread its own connection.  The request counts are per process, so
+  // the checks below are relative to a scrape taken before the load.
   constexpr int kThreads = 8;
   DatasetServer server(*store_, ephemeral_options(4));
   server.start();
+  const Json before = [&] {
+    HttpClient client("127.0.0.1", server.port());
+    return Json::parse(client.get("/metrics").body).at("requests");
+  }();
   std::vector<std::vector<std::string>> bodies(kThreads);
   std::vector<std::thread> clients;
   clients.reserve(kThreads);
@@ -400,34 +419,56 @@ TEST_F(ServeTest, ConcurrentLoadGolden) {
     }
   }
 
-  // /metrics must converge on exactly kThreads * targets counted requests.
-  // Counters are recorded after the response bytes are sent, so poll briefly
-  // for the last few records to land — and each poll is itself a request
-  // that the *next* scrape will have counted (recording is sequenced before
-  // the same keep-alive worker reads the following request), so scrape
-  // number `polls` (0-based) must report exactly `expected + polls` once
-  // every client-thread request has landed.
+  // /metrics must converge on exactly kThreads * targets more counted
+  // requests, plus the scrape taken before the load.  Counters are recorded
+  // after the response bytes are sent, so poll briefly for the last few
+  // records to land — and each poll is itself a request that the *next*
+  // scrape will have counted (recording is sequenced before the same
+  // keep-alive worker reads the following request), so scrape number
+  // `polls` (0-based) must report exactly `expected + polls` more once every
+  // client-thread request has landed.
   const std::int64_t expected =
-      static_cast<std::int64_t>(kThreads) * static_cast<std::int64_t>(targets.size());
+      1 + static_cast<std::int64_t>(kThreads) * static_cast<std::int64_t>(targets.size());
+  const auto added = [&before](const Json& now, const char* key, const char* sub = nullptr) {
+    const auto at = [&](const Json& j) -> const Json& { return sub ? j.at(key).at(sub) : j.at(key); };
+    return at(now).as_int() - at(before).as_int();
+  };
   HttpClient scraper("127.0.0.1", server.port());
   Json requests;
   std::int64_t polls = 0;
   for (; polls < 200; ++polls) {
     requests = Json::parse(scraper.get("/metrics").body).at("requests");
-    if (requests.at("requests_total").as_int() >= expected + polls) break;
+    if (added(requests, "requests_total") >= expected + polls) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  const std::int64_t seen = expected + polls;  // client load + earlier polls
-  EXPECT_EQ(requests.at("requests_total").as_int(), seen);
-  EXPECT_EQ(requests.at("responses").at("2xx").as_int(), seen);
-  EXPECT_EQ(requests.at("responses").at("4xx").as_int(), 0);
-  EXPECT_EQ(requests.at("responses").at("5xx").as_int(), 0);
-  EXPECT_EQ(requests.at("latency").at("count").as_int(), seen);
+  const std::int64_t seen = expected + polls;  // client load + every scrape before this one
+  EXPECT_EQ(added(requests, "requests_total"), seen);
+  EXPECT_EQ(added(requests, "responses", "2xx"), seen);
+  EXPECT_EQ(added(requests, "responses", "4xx"), 0);
+  EXPECT_EQ(added(requests, "responses", "5xx"), 0);
+  EXPECT_EQ(added(requests, "latency", "count"), seen);
 
   // The artifact working set repeats across threads: the cache must be warm.
   const Json metrics = Json::parse(scraper.get("/metrics").body);
   EXPECT_GT(metrics.at("blob_cache").at("hits").as_int(), 0);
   EXPECT_GT(metrics.at("blob_cache").at("hit_rate").as_double(), 0.0);
+
+  // One metrics store: in this quiescent scrape the "requests" section is
+  // the registry's serve.* metrics, value for value.
+  const Json& last = metrics.at("requests");
+  const Json& counters = metrics.at("registry").at("counters");
+  const Json& histogram = metrics.at("registry").at("histograms").at("serve.request_us");
+  EXPECT_EQ(last.at("requests_total").as_int(), counters.at("serve.requests").as_int());
+  for (const char* klass : {"2xx", "3xx", "4xx", "5xx"}) {
+    EXPECT_EQ(last.at("responses").at(klass).as_int(),
+              counters.at(std::string("serve.responses_") + klass).as_int())
+        << klass;
+  }
+  EXPECT_EQ(last.at("connections_accepted").as_int(),
+            counters.at("serve.connections_accepted").as_int());
+  EXPECT_EQ(last.at("bytes_sent").as_int(), counters.at("serve.bytes_sent").as_int());
+  EXPECT_EQ(last.at("latency").at("count").as_int(), histogram.at("count").as_int());
+  EXPECT_EQ(last.at("latency").at("total_us").as_int(), histogram.at("total").as_int());
   server.stop();
 }
 

@@ -11,6 +11,7 @@
 #include "common/error.h"
 #include "common/fault.h"
 #include "common/json.h"
+#include "common/rng.h"
 #include "data/registry.h"
 #include "dataset_fixture.h"
 #include "store/cache.h"
@@ -145,6 +146,35 @@ TEST(IndexTest, CorruptionIsDetected) {
   EXPECT_THROW(parse_index(""), IoError);
   // Trailing garbage.
   EXPECT_THROW(parse_index(bytes + "x"), IoError);
+}
+
+/// Overwrite the little-endian u64 at `pos` and re-seal the FNV-1a trailer,
+/// as a forger would: the fingerprint then vouches for the crafted bytes.
+void forge_u64(std::string& bytes, std::size_t pos, std::uint64_t v) {
+  const auto put = [&](std::size_t at, std::uint64_t x) {
+    for (std::size_t i = 0; i < 8; ++i) bytes[at + i] = static_cast<char>((x >> (8 * i)) & 0xFF);
+  };
+  put(pos, v);
+  put(bytes.size() - 8, fnv1a(std::string_view(bytes).substr(0, bytes.size() - 8)));
+}
+
+TEST(IndexTest, RecordCountBeyondTheBytesIsRefused) {
+  // Magic (8 bytes) and version (4) precede the u64 record count.
+  std::string bytes = serialize_index({});
+  forge_u64(bytes, 12, std::uint64_t{1} << 40);
+  EXPECT_THROW(parse_index(bytes), IoError);
+
+  // The bound is tight: an index of one smallest possible record (empty
+  // pdb_id and sequence) still parses.
+  EntryRecord smallest;
+  smallest.group = 'S';
+  for (ArtifactRef& a : smallest.artifacts) a.hash = std::string(32, '0');
+  const std::string one = serialize_index({smallest});
+  EXPECT_EQ(one.size(), 8u + 4 + 8 + 165 + 8);
+  EXPECT_EQ(parse_index(one).size(), 1u);
+  std::string two = one;
+  forge_u64(two, 12, 2);
+  EXPECT_THROW(parse_index(two), IoError);
 }
 
 // --- ingest -----------------------------------------------------------------
