@@ -87,13 +87,17 @@
 // Methods: qdock (default), af2, af3, annealing, greedy, exact.
 // Structured logging follows QDB_LOG=off|warn|info|debug (default warn).
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include <unistd.h>
@@ -102,6 +106,7 @@
 #include "common/fault.h"
 #include "common/json.h"
 #include "common/rng.h"
+#include "common/strings.h"
 #include "core/qdockbank.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
@@ -122,6 +127,32 @@
 namespace {
 
 using namespace qdb;
+
+/// Host threads a --threads flag may ask for (0 = every core).
+constexpr int kMaxThreads = 1024;
+
+/// Parse the whole of `text` as a decimal number in [lo, hi] for `what` (a
+/// flag or positional name).  Trailing text, garbage, a sign on an unsigned
+/// value and out-of-range values are refused with an Error rather than read
+/// as a prefix, as 0 or wrapped.
+template <typename T>
+T parse_number(const char* what, std::string_view text,
+               T lo = std::numeric_limits<T>::lowest(),
+               T hi = std::numeric_limits<T>::max()) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  // Written as !(in range) so that a parsed NaN is refused too.
+  if (ec != std::errc() || stop != end || !(value >= lo && value <= hi)) {
+    const auto bound = [](T v) {
+      if constexpr (std::is_floating_point_v<T>) return format("%g", v);
+      else return std::to_string(v);
+    };
+    throw Error(std::string(what) + " needs a number in [" + bound(lo) + ", " +
+                bound(hi) + "] (got '" + std::string(text) + "')");
+  }
+  return value;
+}
 
 Method parse_method(const std::string& s) {
   if (s == "qdock") return Method::QDock;
@@ -217,25 +248,28 @@ bool parse_batch_flag(BatchCliConfig& b, int argc, char** argv, int& i) {
     return argv[++i];
   };
   if (arg == "--account") b.opt.run_vqe = false;
-  else if (arg == "--threads") b.opt.threads = std::atoi(next("--threads"));
-  else if (arg == "--evals") b.opt.vqe.max_evaluations = std::atoi(next("--evals"));
+  else if (arg == "--threads") b.opt.threads =
+      parse_number<int>("--threads", next("--threads"), 0, kMaxThreads);
+  else if (arg == "--evals") b.opt.vqe.max_evaluations =
+      parse_number<int>("--evals", next("--evals"), 1);
   else if (arg == "--shots") b.opt.vqe.shots_per_eval =
-      static_cast<std::size_t>(std::atoll(next("--shots")));
+      parse_number<std::size_t>("--shots", next("--shots"), 1);
   else if (arg == "--final-shots") b.opt.vqe.final_shots =
-      static_cast<std::size_t>(std::atoll(next("--final-shots")));
+      parse_number<std::size_t>("--final-shots", next("--final-shots"), 1);
   else if (arg == "--max-attempts") b.opt.retry.max_attempts =
-      std::atoi(next("--max-attempts"));
+      parse_number<int>("--max-attempts", next("--max-attempts"), 1);
   else if (arg == "--fail-fast") b.opt.fail_fast = true;
-  else if (arg == "--limit") b.limit = std::atol(next("--limit"));
+  else if (arg == "--limit") b.limit = parse_number<long>("--limit", next("--limit"), 0);
   else if (arg == "--stage1-precision") {
     const std::string prec = next("--stage1-precision");
     if (prec == "f32") b.opt.vqe.stage1_precision = Precision::f32;
     else if (prec == "f64") b.opt.vqe.stage1_precision = Precision::f64;
     else throw Error("--stage1-precision must be f32 or f64 (got '" + prec + "')");
   }
-  else if (arg == "--fault-rate") b.fault_rate = std::atof(next("--fault-rate"));
+  else if (arg == "--fault-rate") b.fault_rate =
+      parse_number<double>("--fault-rate", next("--fault-rate"), 0.0, 1.0);
   else if (arg == "--fault-seed") b.fault_seed =
-      static_cast<std::uint64_t>(std::atoll(next("--fault-seed")));
+      parse_number<std::uint64_t>("--fault-seed", next("--fault-seed"));
   else if (arg == "S" || arg == "M" || arg == "L" || arg == "all") b.group = arg;
   else return false;
   return true;
@@ -361,19 +395,24 @@ int cmd_screen(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--library-seed") opt.library.seed =
-        static_cast<std::uint64_t>(std::atoll(next("--library-seed")));
+        parse_number<std::uint64_t>("--library-seed", next("--library-seed"));
     else if (arg == "--library-size") opt.library.size =
-        static_cast<std::uint64_t>(std::atoll(next("--library-size")));
-    else if (arg == "--top-k") opt.top_k = std::atoi(next("--top-k"));
-    else if (arg == "--stage1-keep") opt.stage1_keep = std::atof(next("--stage1-keep"));
-    else if (arg == "--poses") opt.poses_per_ligand = std::atoi(next("--poses"));
-    else if (arg == "--rescored") opt.poses_rescored = std::atoi(next("--rescored"));
-    else if (arg == "--threads") opt.threads = std::atoi(next("--threads"));
+        parse_number<std::uint64_t>("--library-size", next("--library-size"), 1);
+    else if (arg == "--top-k") opt.top_k = parse_number<int>("--top-k", next("--top-k"), 1);
+    else if (arg == "--stage1-keep") opt.stage1_keep =
+        parse_number<double>("--stage1-keep", next("--stage1-keep"), 0.0, 1.0);
+    else if (arg == "--poses") opt.poses_per_ligand =
+        parse_number<int>("--poses", next("--poses"), 1);
+    else if (arg == "--rescored") opt.poses_rescored =
+        parse_number<int>("--rescored", next("--rescored"), 1);
+    else if (arg == "--threads") opt.threads =
+        parse_number<int>("--threads", next("--threads"), 0, kMaxThreads);
     else if (arg == "--checkpoint") opt.checkpoint_path = next("--checkpoint");
     else if (arg == "--resume") opt.resume = true;
-    else if (arg == "--stop-after") opt.stop_after_chunks = std::atoi(next("--stop-after"));
+    else if (arg == "--stop-after") opt.stop_after_chunks =
+        parse_number<int>("--stop-after", next("--stop-after"), 0);
     else if (arg == "--chunk") opt.chunk_size =
-        static_cast<std::uint64_t>(std::atoll(next("--chunk")));
+        parse_number<std::uint64_t>("--chunk", next("--chunk"), 1);
     else if (arg == "--out") out_path = next("--out");
     else if (arg == "--store") store_root = next("--store");
     else if (arg == "--server") server = next("--server");
@@ -388,7 +427,8 @@ int cmd_screen(int argc, char** argv) {
     }
     serve::HttpClient client(
         server.substr(0, colon),
-        static_cast<std::uint16_t>(std::atoi(server.c_str() + colon + 1)));
+        parse_number<std::uint16_t>("--server port",
+                                    std::string_view(server).substr(colon + 1), 1));
     Json body = Json::object();
     body.set("pdb_id", pdb_id);
     body.set("library_seed", static_cast<std::int64_t>(opt.library.seed));
@@ -462,11 +502,12 @@ int cmd_serve(int argc, char** argv) {
       if (i + 1 >= argc) throw Error(std::string(flag) + " needs a value");
       return argv[++i];
     };
-    if (arg == "--port") opt.port = static_cast<std::uint16_t>(std::atoi(next("--port")));
+    if (arg == "--port") opt.port = parse_number<std::uint16_t>("--port", next("--port"));
     else if (arg == "--host") opt.host = next("--host");
-    else if (arg == "--threads") opt.threads = std::atoi(next("--threads"));
+    else if (arg == "--threads") opt.threads =
+        parse_number<int>("--threads", next("--threads"), 1, kMaxThreads);
     else if (arg == "--cache") cache_capacity =
-        static_cast<std::size_t>(std::atoll(next("--cache")));
+        parse_number<std::size_t>("--cache", next("--cache"));
     else throw Error("unknown serve flag '" + arg + "'");
   }
 
@@ -527,14 +568,14 @@ int cmd_coordinate(int argc, char** argv) {
     };
     if (parse_batch_flag(b, argc, argv, i)) continue;
     if (arg == "--port") serve_opt.port =
-        static_cast<std::uint16_t>(std::atoi(next("--port")));
+        parse_number<std::uint16_t>("--port", next("--port"));
     else if (arg == "--host") serve_opt.host = next("--host");
     else if (arg == "--serve-threads") serve_opt.threads =
-        std::atoi(next("--serve-threads"));
+        parse_number<int>("--serve-threads", next("--serve-threads"), 1, kMaxThreads);
     else if (arg == "--lease-ttl-ms") copt.lease_ttl_ms =
-        static_cast<std::uint64_t>(std::atoll(next("--lease-ttl-ms")));
+        parse_number<std::uint64_t>("--lease-ttl-ms", next("--lease-ttl-ms"), 1);
     else if (arg == "--max-lease-attempts") copt.max_lease_attempts =
-        std::atoi(next("--max-lease-attempts"));
+        parse_number<int>("--max-lease-attempts", next("--max-lease-attempts"), 1);
     else if (arg == "--journal") copt.journal_path = next("--journal");
     else if (arg == "--report") report_path = next("--report");
     else throw Error("unknown coordinate flag '" + arg + "'");
@@ -604,7 +645,7 @@ int cmd_work(int argc, char** argv) {
   BatchCliConfig b;
   orchestrate::WorkerOptions wopt;
   wopt.host = argv[2];
-  wopt.port = static_cast<std::uint16_t>(std::atoi(argv[3]));
+  wopt.port = parse_number<std::uint16_t>("<port>", argv[3], 1);
   for (int i = 4; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&](const char* flag) -> const char* {
@@ -614,12 +655,12 @@ int cmd_work(int argc, char** argv) {
     if (parse_batch_flag(b, argc, argv, i)) continue;
     if (arg == "--worker-id") wopt.worker_id = next("--worker-id");
     else if (arg == "--poll-ms") wopt.poll_interval_ms =
-        static_cast<std::uint64_t>(std::atoll(next("--poll-ms")));
+        parse_number<std::uint64_t>("--poll-ms", next("--poll-ms"));
     else if (arg == "--heartbeat-ms") wopt.heartbeat_interval_ms =
-        static_cast<std::uint64_t>(std::atoll(next("--heartbeat-ms")));
+        parse_number<std::uint64_t>("--heartbeat-ms", next("--heartbeat-ms"));
     else if (arg == "--no-heartbeats") wopt.heartbeats = false;
     else if (arg == "--max-request-attempts") wopt.max_request_attempts =
-        std::atoi(next("--max-request-attempts"));
+        parse_number<int>("--max-request-attempts", next("--max-request-attempts"), 1);
     else throw Error("unknown work flag '" + arg + "'");
   }
 
@@ -637,7 +678,7 @@ int cmd_work(int argc, char** argv) {
 }
 
 int cmd_get(char** argv) {
-  serve::HttpClient client(argv[2], static_cast<std::uint16_t>(std::atoi(argv[3])));
+  serve::HttpClient client(argv[2], parse_number<std::uint16_t>("<port>", argv[3], 1));
   const serve::HttpClientResponse r = client.get(argv[4]);
   std::fprintf(stderr, "HTTP %d\n", r.status);
   std::fputs(r.body.c_str(), stdout);

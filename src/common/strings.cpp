@@ -80,4 +80,15 @@ bool parse_hex_u64(std::string_view s, std::uint64_t* out) {
   return true;
 }
 
+void fingerprint_field(std::string& digest, const char* name, double value) {
+  digest += format("%s=%.17g;", name, value);
+}
+
+void fingerprint_field(std::string& digest, const char* name, long long value) {
+  digest += name;
+  digest += '=';
+  digest += std::to_string(value);
+  digest += ';';
+}
+
 }  // namespace qdb

@@ -32,4 +32,11 @@ bool starts_with(std::string_view s, std::string_view prefix);
 /// untouched; callers check their exact field width themselves.
 bool parse_hex_u64(std::string_view s, std::uint64_t* out);
 
+/// Append `name=value;` to an options-fingerprint digest (doubles as %.17g,
+/// exact to the bit).  The digest text is what a fingerprint hashes, so it
+/// must not change: checkpoints written under the old text would stop
+/// resuming.
+void fingerprint_field(std::string& digest, const char* name, double value);
+void fingerprint_field(std::string& digest, const char* name, long long value);
+
 }  // namespace qdb

@@ -65,14 +65,6 @@ double BatchReport::completion_rate() const {
 
 namespace {
 
-/// Which engine a VQE configuration resolves to for a register of nq qubits
-/// (mirrors the dispatch in VqeDriver::run).
-const char* resolved_engine(const VqeOptions& vopt, int nq) {
-  const bool mps = vopt.engine == VqeOptions::Engine::Mps ||
-                   (vopt.engine == VqeOptions::Engine::Auto && nq > 14);
-  return mps ? "mps" : "dense";
-}
-
 /// One rung of the graceful-degradation ladder: a VQE configuration plus the
 /// label recorded in the report when a job first succeeds on that rung.
 struct Rung {
@@ -93,7 +85,7 @@ std::vector<Rung> build_ladder(const DatasetEntry& e, const BatchOptions& option
   const int nq = encoding_qubits(e.length());
   VqeOptions prev = base;
   if (options.retry.engine_fallback &&
-      std::string_view(resolved_engine(base, nq)) == "mps" && nq <= 30) {
+      uses_mps_engine(nq, base) && nq <= 30) {
     VqeOptions dense = base;
     dense.engine = VqeOptions::Engine::Dense;
     ladder.push_back({dense, "dense-engine"});
@@ -145,7 +137,7 @@ BatchJobRecord run_one_resilient_impl(const DatasetEntry& e,
           job.shots = r.total_shots;
           job.device_time_s = r.modeled_exec_time_s;
           job.lowest_energy = r.lowest_energy;
-          job.engine_used = resolved_engine(rung.vqe, h.num_qubits());
+          job.engine_used = uses_mps_engine(h.num_qubits(), rung.vqe) ? "mps" : "dense";
         } else {
           // The paper's own accounting: published per-fragment times.
           fault_site("batch.account");

@@ -1,11 +1,10 @@
 #include "data/checkpoint.h"
 
-#include <cstdio>
-
 #include "common/check.h"
 #include "common/error.h"
 #include "common/fault.h"
 #include "common/rng.h"
+#include "common/strings.h"
 
 namespace qdb {
 
@@ -25,53 +24,40 @@ Group group_from_name(std::string_view name) {
   throw IoError("checkpoint: unknown group '" + std::string(name) + "'");
 }
 
-// --- fingerprint ------------------------------------------------------------
-
-void fp_field(std::string& d, const char* name, double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%s=%.17g;", name, v);
-  d += buf;
-}
-
-void fp_field(std::string& d, const char* name, long long v) {
-  d += name;
-  d += '=';
-  d += std::to_string(v);
-  d += ';';
-}
-
 }  // namespace
+
+// --- fingerprint ------------------------------------------------------------
 
 std::uint64_t batch_options_fingerprint(const BatchOptions& o) {
   std::string d = "batch-checkpoint-v" + std::to_string(kCheckpointVersion) + ";";
-  fp_field(d, "run_vqe", static_cast<long long>(o.run_vqe));
-  fp_field(d, "usd_per_second", o.usd_per_second);
+  fingerprint_field(d, "run_vqe", static_cast<long long>(o.run_vqe));
+  fingerprint_field(d, "usd_per_second", o.usd_per_second);
   // VqeOptions fields that shape per-job results (seed and run_id are
   // derived per pdb_id inside run_batch, so they are not part of the
   // fingerprint).
-  fp_field(d, "reps", static_cast<long long>(o.vqe.reps));
-  fp_field(d, "max_evaluations", static_cast<long long>(o.vqe.max_evaluations));
-  fp_field(d, "shots_per_eval", static_cast<long long>(o.vqe.shots_per_eval));
-  fp_field(d, "final_shots", static_cast<long long>(o.vqe.final_shots));
-  fp_field(d, "cvar_alpha", o.vqe.cvar_alpha);
-  fp_field(d, "noise_trajectories", static_cast<long long>(o.vqe.noise_trajectories));
-  fp_field(d, "max_bond", static_cast<long long>(o.vqe.max_bond));
-  fp_field(d, "refine", static_cast<long long>(o.vqe.refine_bitstring));
-  fp_field(d, "mitigation", static_cast<long long>(o.vqe.readout_mitigation));
-  fp_field(d, "engine", static_cast<long long>(o.vqe.engine));
-  fp_field(d, "max_truncation_weight", o.vqe.max_truncation_weight);
+  fingerprint_field(d, "reps", static_cast<long long>(o.vqe.reps));
+  fingerprint_field(d, "max_evaluations", static_cast<long long>(o.vqe.max_evaluations));
+  fingerprint_field(d, "shots_per_eval", static_cast<long long>(o.vqe.shots_per_eval));
+  fingerprint_field(d, "final_shots", static_cast<long long>(o.vqe.final_shots));
+  fingerprint_field(d, "cvar_alpha", o.vqe.cvar_alpha);
+  fingerprint_field(d, "noise_trajectories", static_cast<long long>(o.vqe.noise_trajectories));
+  fingerprint_field(d, "max_bond", static_cast<long long>(o.vqe.max_bond));
+  fingerprint_field(d, "refine", static_cast<long long>(o.vqe.refine_bitstring));
+  fingerprint_field(d, "mitigation", static_cast<long long>(o.vqe.readout_mitigation));
+  fingerprint_field(d, "engine", static_cast<long long>(o.vqe.engine));
+  fingerprint_field(d, "max_truncation_weight", o.vqe.max_truncation_weight);
   // Stage-1 precision changes which bitstrings are sampled, so results too.
-  fp_field(d, "stage1_precision", static_cast<long long>(o.vqe.stage1_precision));
+  fingerprint_field(d, "stage1_precision", static_cast<long long>(o.vqe.stage1_precision));
   // Retry policy: backoff lands in the report, so it is result-shaping.
-  fp_field(d, "max_attempts", static_cast<long long>(o.retry.max_attempts));
-  fp_field(d, "backoff_initial_s", o.retry.backoff_initial_s);
-  fp_field(d, "backoff_multiplier", o.retry.backoff_multiplier);
-  fp_field(d, "backoff_max_s", o.retry.backoff_max_s);
-  fp_field(d, "engine_fallback", static_cast<long long>(o.retry.engine_fallback));
-  fp_field(d, "budget_reduction", static_cast<long long>(o.retry.budget_reduction));
+  fingerprint_field(d, "max_attempts", static_cast<long long>(o.retry.max_attempts));
+  fingerprint_field(d, "backoff_initial_s", o.retry.backoff_initial_s);
+  fingerprint_field(d, "backoff_multiplier", o.retry.backoff_multiplier);
+  fingerprint_field(d, "backoff_max_s", o.retry.backoff_max_s);
+  fingerprint_field(d, "engine_fallback", static_cast<long long>(o.retry.engine_fallback));
+  fingerprint_field(d, "budget_reduction", static_cast<long long>(o.retry.budget_reduction));
   // Fault-injector state: a resumed golden replay must see the same faults.
   FaultInjector& fi = FaultInjector::instance();
-  fp_field(d, "fault_seed", static_cast<long long>(fi.seed()));
+  fingerprint_field(d, "fault_seed", static_cast<long long>(fi.seed()));
   d += "fault_sites=";
   for (const std::string& site : fi.configured_sites()) {
     d += site;

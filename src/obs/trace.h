@@ -38,7 +38,7 @@
 // from (parent span id, span name, branch salt, sibling index).  The
 // context crosses processes as a W3C `traceparent` header — injected by
 // serve::HttpClient, extracted by serve::DatasetServer, and threaded
-// through the orchestrate lease grant — so tools/qdb_trace_merge can join
+// through the orchestrate lease grant — so tools/qdb_trace_check can join
 // per-process dumps into one trace with resolvable cross-process parents.
 #pragma once
 
@@ -200,7 +200,7 @@ class TraceSession {
 
   /// Label this process's dump: `pid` becomes the "pid" of every exported
   /// event (default 1), and a nonempty `name` adds a top-level "process"
-  /// object — what qdb_trace_merge uses to label pid lanes.
+  /// object — what qdb_trace_check --out uses to label pid lanes.
   void set_process(int pid, std::string name);
 
   /// summary() rendered with common/table.h (count, total ms, self ms).

@@ -196,12 +196,12 @@ WorkerStats run_worker(const WorkerOptions& options) {
                   "byte-identical; refusing to work");
     }
 
-    // The coordinator's lease span context (ISSUE 10): everything this
-    // lease causes — the job span, heartbeats, the completion POST — runs
-    // under it, so the merged multi-process trace parents the worker's
-    // spans to the coordinator's lease.  A grant without a (parseable)
-    // traceparent leaves the context invalid, and the scopes below install
-    // nothing — spans then fall back to the worker's own root.
+    // The coordinator's lease span context: everything this lease causes —
+    // the job span, heartbeats, the completion POST — runs under it, so the
+    // joined multi-process trace parents the worker's spans to the
+    // coordinator's lease.  A grant without a (parseable) traceparent leaves
+    // the context invalid, and the scopes below install nothing — spans then
+    // fall back to the worker's own root.
     obs::TraceContext lease_ctx;
     if (!grant.traceparent.empty() &&
         !obs::parse_traceparent(grant.traceparent, &lease_ctx)) {

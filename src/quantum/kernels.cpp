@@ -401,25 +401,15 @@ void run_lowered(Real* re, Real* im, int num_qubits, int block, bool avx2,
   }
 }
 
-int default_block_qubits(Precision p) {
-  // Both split arrays of one block should fit L1 with headroom:
-  // f64: 2^10 * 16 B = 16 KiB; f32: 2^11 * 8 B = 16 KiB.
-  return p == Precision::f64 ? 10 : 11;
-}
-
 }  // namespace
 
 FusedEngine::FusedEngine(int num_qubits, Precision precision, EngineOptions opt)
     : num_qubits_(num_qubits), precision_(precision), opt_(opt) {
   QDB_REQUIRE(num_qubits >= 1 && num_qubits <= 30,
               "fused engine supports 1..30 qubits");
-  if (opt_.block_qubits > 0) {
-    block_qubits_ = opt_.block_qubits;
-  } else if (opt_.use_tuner) {
-    block_qubits_ = Tuner::global().plan_for(num_qubits, precision).block_qubits;
-  } else {
-    block_qubits_ = default_block_qubits(precision);
-  }
+  block_qubits_ = opt_.block_qubits > 0
+                      ? opt_.block_qubits
+                      : Tuner::global().plan_for(num_qubits, precision).block_qubits;
   block_qubits_ = std::clamp(block_qubits_, 1, num_qubits_);
   const std::size_t dim = std::size_t{1} << num_qubits_;
   if (precision_ == Precision::f64) {

@@ -50,9 +50,6 @@ struct EngineOptions {
   /// Cache-block size in qubits; 0 consults the tuner (quantum/tuner.h).
   /// Results-neutral at every value — it only changes traversal order.
   int block_qubits = 0;
-  /// When false and block_qubits == 0, use the precision's fixed default
-  /// instead of tuning (the tuner itself builds engines this way).
-  bool use_tuner = true;
   /// Skip the AVX2 dispatch even when available (scalar-vs-SIMD goldens).
   bool force_scalar = false;
 };

@@ -136,7 +136,6 @@ TunerPlan Tuner::tune_locked(int num_qubits, Precision precision) {
   for (int cand : candidates) {
     EngineOptions opt;
     opt.block_qubits = cand;
-    opt.use_tuner = false;
     FusedEngine eng(num_qubits, precision, opt);
     const double ms = time_apply_ms(eng, prog);
     if (plan.source.empty() || ms < plan.best_ms) {

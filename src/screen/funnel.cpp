@@ -1,13 +1,13 @@
 #include "screen/funnel.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <queue>
 
 #include "common/check.h"
 #include "common/error.h"
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "common/strings.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -18,19 +18,6 @@ namespace {
 
 constexpr double kPi = 3.14159265358979323846;
 constexpr int kFingerprintVersion = 1;
-
-void fp_field(std::string& d, const char* name, double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%s=%.17g;", name, v);
-  d += buf;
-}
-
-void fp_field(std::string& d, const char* name, long long v) {
-  d += name;
-  d += '=';
-  d += std::to_string(v);
-  d += ';';
-}
 
 /// Coarse pose inside the grid box.  Draw order is pinned with named locals
 /// (argument evaluation order is unspecified, and this stream must be
@@ -114,22 +101,22 @@ std::uint64_t screen_options_fingerprint(const ScreenOptions& o) {
   // fault sites fire inside the funnel, so the injector state is not part of
   // the identity either.
   std::string d = "screen-v" + std::to_string(kFingerprintVersion) + ";";
-  fp_field(d, "library_seed", static_cast<long long>(o.library.seed));
-  fp_field(d, "library_size", static_cast<long long>(o.library.size));
-  fp_field(d, "top_k", static_cast<long long>(o.top_k));
-  fp_field(d, "stage1_keep", o.stage1_keep);
-  fp_field(d, "poses_per_ligand", static_cast<long long>(o.poses_per_ligand));
-  fp_field(d, "poses_rescored", static_cast<long long>(o.poses_rescored));
-  fp_field(d, "grid_spacing", o.grid_spacing);
-  fp_field(d, "grid_padding", o.grid_padding);
+  fingerprint_field(d, "library_seed", static_cast<long long>(o.library.seed));
+  fingerprint_field(d, "library_size", static_cast<long long>(o.library.size));
+  fingerprint_field(d, "top_k", static_cast<long long>(o.top_k));
+  fingerprint_field(d, "stage1_keep", o.stage1_keep);
+  fingerprint_field(d, "poses_per_ligand", static_cast<long long>(o.poses_per_ligand));
+  fingerprint_field(d, "poses_rescored", static_cast<long long>(o.poses_rescored));
+  fingerprint_field(d, "grid_spacing", o.grid_spacing);
+  fingerprint_field(d, "grid_padding", o.grid_padding);
   // chunk_size is NOT here: chunking shapes the checkpoint layout (validated
   // separately on load), never the per-ligand results or the report bytes.
-  fp_field(d, "gauss1", o.weights.gauss1);
-  fp_field(d, "gauss2", o.weights.gauss2);
-  fp_field(d, "repulsion", o.weights.repulsion);
-  fp_field(d, "hydrophobic", o.weights.hydrophobic);
-  fp_field(d, "hbond", o.weights.hbond);
-  fp_field(d, "rot_penalty", o.weights.rot_penalty);
+  fingerprint_field(d, "gauss1", o.weights.gauss1);
+  fingerprint_field(d, "gauss2", o.weights.gauss2);
+  fingerprint_field(d, "repulsion", o.weights.repulsion);
+  fingerprint_field(d, "hydrophobic", o.weights.hydrophobic);
+  fingerprint_field(d, "hbond", o.weights.hbond);
+  fingerprint_field(d, "rot_penalty", o.weights.rot_penalty);
   return fnv1a(d);
 }
 

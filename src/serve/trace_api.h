@@ -9,7 +9,7 @@
 //                         kTraceFields in trace_api.cpp); stored verbatim
 //                         via Store::put_blob, so identical dumps dedup and
 //                         the response {"hash", "events"} names the blob a
-//                         later qdb_trace_merge can pull.
+//                         later qdb_trace_check run can pull.
 //   GET /debug/flight   — dump this process's flight-recorder ring as JSON
 //                         (see obs/flight.h for the schema).  Accepts only
 //                         `n` (1..256, the max records to return); any

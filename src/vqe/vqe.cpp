@@ -19,14 +19,10 @@
 
 namespace qdb {
 
-namespace {
-
 bool uses_mps_engine(int num_qubits, const VqeOptions& opt) {
   return opt.engine == VqeOptions::Engine::Mps ||
          (opt.engine == VqeOptions::Engine::Auto && num_qubits > 14);
 }
-
-}  // namespace
 
 void resolve_dense_plans(int num_qubits, const VqeOptions& options) {
   if (uses_mps_engine(num_qubits, options)) return;

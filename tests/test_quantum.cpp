@@ -486,7 +486,7 @@ TEST(Mps, MemoisedSamplingMatchesPerShotWalkBitForBit) {
 
 TEST(Mps, MatchesFusedEngineWithinTruncationWeight) {
   EngineOptions opt;
-  opt.use_tuner = false;
+  opt.block_qubits = 10;
   for (int nq : {10, 13, 16}) {
     for (std::uint64_t seed : {1u, 2u, 3u}) {
       const Circuit c = noisy_ansatz(nq, seed, 0.5);

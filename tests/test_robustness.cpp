@@ -32,6 +32,7 @@
 #include "lattice/solver.h"
 #include "quantum/mps.h"
 #include "quantum/statevector.h"
+#include "screen/funnel.h"
 #include "structure/pdb.h"
 #include "structure/reconstruct.h"
 
@@ -660,6 +661,21 @@ TEST(BatchResilience, CorruptOrMismatchedCheckpointRefusesToResume) {
   EXPECT_THROW(run_batch(subset, opt), IoError);
 
   std::filesystem::remove_all(dir);
+}
+
+TEST(BatchResilience, OptionsFingerprintsArePinned) {
+  // The fingerprint text is part of the on-disk contract: a checkpoint
+  // written under the default options must keep resuming.  The fault seed is
+  // part of the batch fingerprint, so pin it (the CI sweep sets
+  // QDB_FAULT_SEED for other tests) and restore whatever was there.
+  FaultInjector& fi = FaultInjector::instance();
+  ASSERT_TRUE(fi.configured_sites().empty());
+  const std::uint64_t saved_seed = fi.seed();
+  fi.set_seed(0);
+  EXPECT_EQ(batch_options_fingerprint(BatchOptions{}), 11380970218136700572ull);
+  EXPECT_EQ(screen::screen_options_fingerprint(screen::ScreenOptions{}),
+            17933911480741207743ull);
+  fi.set_seed(saved_seed);
 }
 
 TEST(BatchResilience, AtomicWritePreservesOldContentOnFault) {

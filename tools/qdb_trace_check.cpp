@@ -1,12 +1,12 @@
-// qdb_trace_check: schema and consistency checker for qdb_cli --trace dumps
-// and qdb_trace_merge outputs.
+// qdb_trace_check: schema and consistency checker for one or more
+// qdb_cli --trace dumps (one dump per process).
 //
-//   qdb_trace_check <trace.json> [--require-span <name>]...
+//   qdb_trace_check <trace.json>... [--require-span <name>]...
 //                   [--require-counter <name>]...
-//                   [--merge] [--require-ancestor <child>=<ancestor>[@<pct>]]...
+//                   [--require-ancestor <child>=<ancestor>[@<pct>]]...
+//                   [--out <joined.json>]
 //
-// Single-process mode validates the Chrome-trace document the CLI writes
-// (ISSUE 5):
+// Each input is first checked on its own:
 //
 //   1. Top-level shape: "traceEvents" array, "displayTimeUnit" string, plus
 //      the qdb extensions "summary" (array), "registry" (object) and
@@ -15,9 +15,8 @@
 //      snapshot next to the events costs nothing.
 //   2. Every event is a complete ("ph":"X") event carrying name / cat / ts /
 //      dur / pid / tid with the right types and non-negative times; the
-//      distributed-tracing fields ("trace" 32 hex, "span"/"parent" 16 hex,
-//      ISSUE 10) are well-formed and self-consistent when present, and span
-//      ids are unique within the document.
+//      distributed-tracing fields ("trace" 32 hex, "span"/"parent" 16 hex)
+//      are well-formed and self-consistent when present.
 //   3. Exact agreement: for every span name, the number of trace events
 //      equals the "summary" count, which equals the registry histogram
 //      `span.<name>` count, and the summed event durations equal the summary
@@ -27,29 +26,36 @@
 //   4. The embedded Prometheus exposition declares each family's # TYPE at
 //      most once and every sample line parses as `name{labels} value`.
 //
-// --merge mode validates a qdb_trace_merge output instead (ISSUE 10):
-// top-level "merged": true plus a "processes" array of
-// {pid, name, summary, registry}; pid lanes are disjoint (unique pids,
-// every event's pid named by a process); span ids are globally unique;
-// every non-root "parent" reference resolves to a span id somewhere in the
-// merged document (this is what makes cross-process parenting real, not
-// cosmetic); and the trace==summary==histogram agreement holds per process
-// over that process's pid lane.
+// The inputs are then joined in memory, each event's pid rewritten to its
+// input's 1-based position (containers routinely hand every process pid 1),
+// and the union is checked:
 //
-// --require-ancestor child=ancestor[@pct] (merge mode's reason to exist):
-// at least <pct>% (default 100) of the events named <child> must reach an
-// event named <ancestor> by walking parent references — transitively,
-// across processes.  The CI chaos gate uses
-// `--require-ancestor orchestrate.job=orchestrate.lease@95` to prove worker
-// job spans really parent to coordinator lease spans.
+//   * span ids are unique across all inputs;
+//   * with more than one input, every non-root "parent" reference resolves
+//     to a span id in some input.  A worker's orchestrate.job span parents
+//     to the coordinator's orchestrate.lease span, an edge that only exists
+//     once both dumps are read; a lone worker dump legitimately references
+//     spans it does not hold, so one input skips this check;
+//   * --require-span <name>: some input holds events named <name>;
+//   * --require-ancestor child=ancestor[@pct]: at least <pct>% (default 100)
+//     of the events named <child> reach an event named <ancestor> by walking
+//     parent references — transitively, across inputs.  The CI chaos gate
+//     uses `--require-ancestor orchestrate.job=orchestrate.lease@95` to prove
+//     worker job spans really parent to coordinator lease spans;
+//   * --require-counter <name> (one input only: counters are per process):
+//     the registry holds counter <name> with a nonzero value — proof that
+//     the code behind it ran, e.g. `dock.pairs.reused` for incremental
+//     docking scores.
 //
-// --require-counter <name> (single-process mode): the registry must hold
-// counter <name> with a nonzero value — proof that the code behind it ran,
-// e.g. `dock.pairs.reused` for incremental docking scores.
+// --out <file> writes the joined Chrome trace ("traceEvents",
+// "displayTimeUnit", "processes": [{pid, name}]) for a trace viewer, where
+// each input renders as its own lane.  It is written whenever every input
+// has the right top-level shape, findings or not.
 //
 // Exit status: 0 clean, 1 findings, 2 usage/io error.  Output lines are
 // `trace.json: message` so CI annotations parse them.
 #include <cctype>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -87,17 +93,20 @@ struct IdEvent {
   std::string name;
   std::uint64_t span = 0;
   std::uint64_t parent = 0;  // 0 = trace root
+  const char* path = "";     // the input it came from
 };
 
+/// The union of every input's events: per-name tallies and span ids.
 struct EventsScan {
   std::map<std::string, NameTally> by_name;
-  std::map<std::int64_t, std::map<std::string, NameTally>> by_pid;
-  std::set<std::int64_t> pids;
   std::vector<IdEvent> id_events;
 };
 
-EventsScan scan_events(const Json& doc) {
-  EventsScan scan;
+/// Scan one input's events into its own tallies and append its span ids to
+/// `id_events` (the union over all inputs).
+std::map<std::string, NameTally> scan_events(const Json& doc,
+                                             std::vector<IdEvent>& id_events) {
+  std::map<std::string, NameTally> by_name;
   const qdb::JsonArray& events = doc.at("traceEvents").as_array();
   std::size_t index = 0;
   for (const Json& ev : events) {
@@ -136,8 +145,8 @@ EventsScan scan_events(const Json& doc) {
       fail(where + " \"args\" is not an object");
     }
 
-    // Distributed-tracing fields (ISSUE 10): optional as a set, but all or
-    // nothing per event ("parent" additionally requires a non-root parent).
+    // Distributed-tracing fields: optional as a set, but all or nothing per
+    // event ("parent" additionally requires a non-root parent).
     IdEvent id;
     bool has_id = false;
     if (ev.contains("span") != ev.contains("trace")) {
@@ -176,20 +185,21 @@ EventsScan scan_events(const Json& doc) {
     }
 
     const std::string& name = ev.at("name").as_string();
-    const std::int64_t pid = ev.at("pid").as_int();
-    scan.pids.insert(pid);
-    NameTally& tally = scan.by_name[name];
+    NameTally& tally = by_name[name];
     tally.count += 1;
     tally.total_us += static_cast<std::uint64_t>(ev.at("dur").as_int());
-    NameTally& lane = scan.by_pid[pid][name];
-    lane.count += 1;
-    lane.total_us += static_cast<std::uint64_t>(ev.at("dur").as_int());
     if (has_id) {
       id.name = name;
-      scan.id_events.push_back(std::move(id));
+      id.path = g_path;
+      id_events.push_back(std::move(id));
     }
   }
-  return scan;
+  return by_name;
+}
+
+/// A span id as the dumps spell it: 16 lowercase hex digits.
+std::string span_hex(std::uint64_t id) {
+  return qdb::format("%016llx", static_cast<unsigned long long>(id));
 }
 
 void check_span_id_uniqueness(const EventsScan& scan) {
@@ -198,8 +208,12 @@ void check_span_id_uniqueness(const EventsScan& scan) {
   for (const IdEvent& ev : scan.id_events) {
     const auto [it, inserted] = seen.emplace(ev.span, &ev);
     if (!inserted) {
-      fail("span id collision: \"" + ev.name + "\" and \"" + it->second->name +
-           "\" both carry span id " + std::to_string(ev.span));
+      g_path = ev.path;
+      const IdEvent& first = *it->second;
+      const std::string first_where =
+          first.path == ev.path ? "" : std::string(" (") + first.path + ")";
+      fail("span id collision: \"" + ev.name + "\" and \"" + first.name + "\"" +
+           first_where + " both carry span id " + span_hex(ev.span));
     }
   }
 }
@@ -209,8 +223,9 @@ void check_parent_resolution(const EventsScan& scan) {
   for (const IdEvent& ev : scan.id_events) spans.insert(ev.span);
   for (const IdEvent& ev : scan.id_events) {
     if (ev.parent != 0 && spans.count(ev.parent) == 0) {
+      g_path = ev.path;
       fail("span \"" + ev.name + "\" has unresolved parent id " +
-           std::to_string(ev.parent) + " (no such span in the document)");
+           span_hex(ev.parent) + " (no such span in any input)");
     }
   }
 }
@@ -251,71 +266,73 @@ void check_ancestry(const EventsScan& scan, const AncestorRequirement& req) {
   // Events named child without ids count against coverage: an un-propagated
   // context is exactly the regression this check exists to catch.
   const std::uint64_t pct = hits * 100 / denominator;
+  const std::string coverage = std::to_string(hits) + "/" +
+                               std::to_string(denominator) + " (" +
+                               std::to_string(pct) + "%) of \"" + req.child +
+                               "\" spans reach ancestor \"" + req.ancestor + "\"";
   if (pct < static_cast<std::uint64_t>(req.min_pct)) {
-    fail("--require-ancestor: only " + std::to_string(hits) + "/" +
-         std::to_string(denominator) + " (" + std::to_string(pct) +
-         "%) of \"" + req.child + "\" spans reach ancestor \"" + req.ancestor +
-         "\" (need " + std::to_string(req.min_pct) + "%)");
+    fail("--require-ancestor: only " + coverage + " (need " +
+         std::to_string(req.min_pct) + "%)");
+  } else {
+    std::printf("qdb_trace_check: %s\n", coverage.c_str());
   }
 }
 
 void check_summary_agreement(const Json& summary,
-                             const std::map<std::string, NameTally>& by_name,
-                             const std::string& label) {
+                             const std::map<std::string, NameTally>& by_name) {
   std::set<std::string> summarized;
   for (const Json& row : summary.as_array()) {
     const std::string& name = row.at("name").as_string();
     summarized.insert(name);
     const auto it = by_name.find(name);
     if (it == by_name.end()) {
-      fail(label + "summary names span \"" + name + "\" with no trace events");
+      fail("summary names span \"" + name + "\" with no trace events");
       continue;
     }
     const auto count = static_cast<std::uint64_t>(row.at("count").as_int());
     const auto total = static_cast<std::uint64_t>(row.at("total_us").as_int());
     const auto self = static_cast<std::uint64_t>(row.at("self_us").as_int());
     if (count != it->second.count) {
-      fail(label + "summary count for \"" + name + "\" is " +
+      fail("summary count for \"" + name + "\" is " +
            std::to_string(count) + " but the trace holds " +
            std::to_string(it->second.count) + " events");
     }
     if (total != it->second.total_us) {
-      fail(label + "summary total_us for \"" + name + "\" is " +
+      fail("summary total_us for \"" + name + "\" is " +
            std::to_string(total) + " but event durations sum to " +
            std::to_string(it->second.total_us));
     }
     if (self > total) {
-      fail(label + "summary self_us for \"" + name + "\" exceeds its total_us");
+      fail("summary self_us for \"" + name + "\" exceeds its total_us");
     }
   }
   for (const auto& [name, tally] : by_name) {
     (void)tally;
     if (summarized.count(name) == 0) {
-      fail(label + "span \"" + name +
+      fail("span \"" + name +
            "\" appears in traceEvents but not in summary");
     }
   }
 }
 
 void check_registry_agreement(const Json& registry,
-                              const std::map<std::string, NameTally>& by_name,
-                              const std::string& label) {
+                              const std::map<std::string, NameTally>& by_name) {
   const Json& histograms = registry.at("histograms");
   if (!histograms.is_object()) {
-    fail(label + "registry.histograms is not an object");
+    fail("registry.histograms is not an object");
     return;
   }
   for (const auto& [name, tally] : by_name) {
     const std::string metric = "span." + name;
     if (!histograms.contains(metric)) {
-      fail(label + "registry has no histogram \"" + metric +
+      fail("registry has no histogram \"" + metric +
            "\" for a traced span");
       continue;
     }
     const auto registered =
         static_cast<std::uint64_t>(histograms.at(metric).at("count").as_int());
     if (registered != tally.count) {
-      fail(label + "registry histogram \"" + metric + "\" counts " +
+      fail("registry histogram \"" + metric + "\" counts " +
            std::to_string(registered) + " but the trace holds " +
            std::to_string(tally.count) + " events (must agree exactly)");
     }
@@ -399,46 +416,6 @@ void check_prometheus(const Json& doc) {
   }
 }
 
-void check_merged_processes(const Json& doc, const EventsScan& scan) {
-  const qdb::JsonArray& processes = doc.at("processes").as_array();
-  if (processes.empty()) {
-    fail("merged document has an empty \"processes\" array");
-    return;
-  }
-  std::set<std::int64_t> lane_pids;
-  std::size_t index = 0;
-  for (const Json& proc : processes) {
-    const std::string where = "processes[" + std::to_string(index++) + "]";
-    if (!proc.is_object() || !proc.contains("pid") ||
-        !proc.at("pid").is_number() || !proc.contains("name") ||
-        !proc.at("name").is_string() || !proc.contains("summary") ||
-        !proc.at("summary").is_array() || !proc.contains("registry") ||
-        !proc.at("registry").is_object()) {
-      fail(where + " must carry pid / name / summary / registry");
-      continue;
-    }
-    const std::int64_t pid = proc.at("pid").as_int();
-    if (!lane_pids.insert(pid).second) {
-      fail(where + " reuses pid " + std::to_string(pid) +
-           " (pid lanes must be disjoint)");
-      continue;
-    }
-    const std::string label =
-        "pid " + std::to_string(pid) + " (" + proc.at("name").as_string() + "): ";
-    static const std::map<std::string, NameTally> kEmpty;
-    const auto lane_it = scan.by_pid.find(pid);
-    const auto& lane = lane_it == scan.by_pid.end() ? kEmpty : lane_it->second;
-    check_summary_agreement(proc.at("summary"), lane, label);
-    check_registry_agreement(proc.at("registry"), lane, label);
-  }
-  for (const std::int64_t pid : scan.pids) {
-    if (lane_pids.count(pid) == 0) {
-      fail("events carry pid " + std::to_string(pid) +
-           " but no process entry claims that lane");
-    }
-  }
-}
-
 void check_required_counter(const Json& registry, const std::string& name) {
   const Json& counters = registry.at("counters");
   if (!counters.is_object() || !counters.contains(name)) {
@@ -448,28 +425,57 @@ void check_required_counter(const Json& registry, const std::string& name) {
   }
 }
 
+void check_shape(const Json& doc) {
+  if (!doc.contains("traceEvents") || !doc.at("traceEvents").is_array()) {
+    fail("missing top-level \"traceEvents\" array");
+  }
+  if (!doc.contains("displayTimeUnit") || !doc.at("displayTimeUnit").is_string()) {
+    fail("missing top-level \"displayTimeUnit\" string");
+  }
+  if (!doc.contains("summary") || !doc.at("summary").is_array()) {
+    fail("missing top-level \"summary\" array");
+  }
+  if (!doc.contains("registry") || !doc.at("registry").is_object()) {
+    fail("missing top-level \"registry\" object");
+  }
+  if (!doc.contains("prometheus") || !doc.at("prometheus").is_string()) {
+    fail("missing top-level \"prometheus\" string");
+  }
+}
+
+/// A dump's process name: its "process" object's name, else the file name.
+std::string process_name(const Json& doc, const std::string& path) {
+  if (doc.contains("process") && doc.at("process").is_object() &&
+      doc.at("process").contains("name") && doc.at("process").at("name").is_string() &&
+      !doc.at("process").at("name").as_string().empty()) {
+    return doc.at("process").at("name").as_string();
+  }
+  const std::size_t slash = path.find_last_of('/');
+  return slash == std::string::npos ? path : path.substr(slash + 1);
+}
+
 constexpr const char* kUsage =
-    "usage: qdb_trace_check <trace.json> [--require-span <name>]...\n"
-    "                       [--require-counter <name>]...\n"
-    "                       [--merge] "
-    "[--require-ancestor <child>=<ancestor>[@<pct>]]...\n";
+    "usage: qdb_trace_check <trace.json>... [--require-span <name>]...\n"
+    "                       [--require-counter <name>]... (one input only)\n"
+    "                       [--require-ancestor <child>=<ancestor>[@<pct>]]...\n"
+    "                       [--out <joined.json>]\n";
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string path;
+  std::vector<std::string> paths;
   std::vector<std::string> required_spans;
   std::vector<std::string> required_counters;
   std::vector<AncestorRequirement> required_ancestors;
-  bool merge_mode = false;
+  std::string out_path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--require-span" && i + 1 < argc) {
       required_spans.push_back(argv[++i]);
     } else if (arg == "--require-counter" && i + 1 < argc) {
       required_counters.push_back(argv[++i]);
-    } else if (arg == "--merge") {
-      merge_mode = true;
+    } else if (arg == "--out" && i + 1 < argc) {
+      out_path = argv[++i];
     } else if (arg == "--require-ancestor" && i + 1 < argc) {
       const std::string spec = argv[++i];
       AncestorRequirement req;
@@ -482,13 +488,15 @@ int main(int argc, char** argv) {
       std::string rest = spec.substr(eq + 1);
       const std::size_t at = rest.find('@');
       if (at != std::string::npos) {
-        char* end = nullptr;
-        const long pct = std::strtol(rest.c_str() + at + 1, &end, 10);
-        if (end == nullptr || *end != '\0' || pct < 0 || pct > 100) {
+        // The whole of the text after '@': an empty or partial number would
+        // otherwise read as 0%, a requirement that always holds.
+        const char* first = rest.c_str() + at + 1;
+        const char* last = rest.c_str() + rest.size();
+        const auto [stop, ec] = std::from_chars(first, last, req.min_pct);
+        if (ec != std::errc() || stop != last || req.min_pct < 0 || req.min_pct > 100) {
           std::fprintf(stderr, "%s", kUsage);
           return 2;
         }
-        req.min_pct = static_cast<int>(pct);
         rest = rest.substr(0, at);
       }
       if (rest.empty()) {
@@ -500,92 +508,102 @@ int main(int argc, char** argv) {
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "%s", kUsage);
       return 2;
-    } else if (path.empty()) {
-      path = arg;
     } else {
-      std::fprintf(stderr, "qdb_trace_check: more than one input file\n");
-      return 2;
+      paths.push_back(arg);
     }
   }
-  if (path.empty() || (merge_mode && !required_counters.empty())) {
+  if (paths.empty() || (paths.size() > 1 && !required_counters.empty())) {
     std::fprintf(stderr, "%s", kUsage);
     return 2;
   }
-  g_path = path.c_str();
 
-  Json doc;
-  try {
-    doc = Json::parse(qdb::read_file(path));
-  } catch (const qdb::Error& e) {
-    std::fprintf(stderr, "qdb_trace_check: %s\n", e.what());
-    return 2;
+  std::vector<Json> docs(paths.size());
+  for (std::size_t k = 0; k < paths.size(); ++k) {
+    try {
+      docs[k] = Json::parse(qdb::read_file(paths[k]));
+    } catch (const qdb::Error& e) {
+      std::fprintf(stderr, "qdb_trace_check: %s\n", e.what());
+      return 2;
+    }
   }
+  std::string label = paths[0];
+  for (std::size_t k = 1; k < paths.size(); ++k) label += " + " + paths[k];
 
   try {
-    // Top-level shape.
-    if (!doc.contains("traceEvents") || !doc.at("traceEvents").is_array()) {
-      fail("missing top-level \"traceEvents\" array");
-    }
-    if (!doc.contains("displayTimeUnit") ||
-        !doc.at("displayTimeUnit").is_string()) {
-      fail("missing top-level \"displayTimeUnit\" string");
-    }
-    if (merge_mode) {
-      if (!doc.contains("merged") ||
-          doc.at("merged").type() != Json::Type::Bool ||
-          !doc.at("merged").as_bool()) {
-        fail("missing top-level \"merged\": true (is this a qdb_trace_merge "
-             "output?)");
-      }
-      if (!doc.contains("processes") || !doc.at("processes").is_array()) {
-        fail("missing top-level \"processes\" array");
-      }
-    } else {
-      if (!doc.contains("summary") || !doc.at("summary").is_array()) {
-        fail("missing top-level \"summary\" array");
-      }
-      if (!doc.contains("registry") || !doc.at("registry").is_object()) {
-        fail("missing top-level \"registry\" object");
-      }
-      if (!doc.contains("prometheus") || !doc.at("prometheus").is_string()) {
-        fail("missing top-level \"prometheus\" string");
-      }
+    for (std::size_t k = 0; k < paths.size(); ++k) {
+      g_path = paths[k].c_str();
+      check_shape(docs[k]);
     }
     if (g_findings != 0) {
       std::printf("qdb_trace_check: %d finding(s)\n", g_findings);
       return 1;
     }
 
-    const EventsScan scan = scan_events(doc);
-    check_span_id_uniqueness(scan);
-    if (merge_mode) {
-      // Parent references must resolve only in merge mode: a lone worker
-      // dump legitimately references lease spans that live in the
-      // coordinator's dump.
-      check_parent_resolution(scan);
-      check_merged_processes(doc, scan);
-    } else {
-      check_summary_agreement(doc.at("summary"), scan.by_name, "");
-      check_registry_agreement(doc.at("registry"), scan.by_name, "");
-      check_prometheus(doc);
+    // Each input against its own summary, registry and exposition; the
+    // union's tallies and span ids feed the cross-input checks below.
+    EventsScan all;
+    std::size_t event_total = 0;
+    for (std::size_t k = 0; k < paths.size(); ++k) {
+      g_path = paths[k].c_str();
+      const auto by_name = scan_events(docs[k], all.id_events);
+      check_summary_agreement(docs[k].at("summary"), by_name);
+      check_registry_agreement(docs[k].at("registry"), by_name);
+      check_prometheus(docs[k]);
+      for (const auto& [name, tally] : by_name) {
+        all.by_name[name].count += tally.count;
+        all.by_name[name].total_us += tally.total_us;
+      }
+      event_total += docs[k].at("traceEvents").as_array().size();
     }
+
+    check_span_id_uniqueness(all);
+    if (paths.size() > 1) check_parent_resolution(all);
+    g_path = label.c_str();
     for (const std::string& name : required_spans) {
-      if (scan.by_name.count(name) == 0) {
+      if (all.by_name.count(name) == 0) {
         fail("required span \"" + name + "\" has no trace events");
       }
     }
     for (const std::string& name : required_counters) {
-      check_required_counter(doc.at("registry"), name);
+      check_required_counter(docs[0].at("registry"), name);
     }
     for (const AncestorRequirement& req : required_ancestors) {
-      check_ancestry(scan, req);
+      check_ancestry(all, req);
+    }
+
+    if (!out_path.empty()) {
+      Json events = Json::array();
+      Json processes = Json::array();
+      for (std::size_t k = 0; k < paths.size(); ++k) {
+        const auto pid = static_cast<std::int64_t>(k + 1);
+        for (const Json& ev : docs[k].at("traceEvents").as_array()) {
+          Json copy = ev;  // value-type JSON: cheap enough at trace-dump scale
+          if (copy.is_object()) copy.set("pid", pid);
+          events.push_back(std::move(copy));
+        }
+        Json proc = Json::object();
+        proc.set("pid", pid);
+        proc.set("name", process_name(docs[k], paths[k]));
+        processes.push_back(std::move(proc));
+      }
+      Json out = Json::object();
+      out.set("traceEvents", std::move(events));
+      out.set("displayTimeUnit", "ms");
+      out.set("processes", std::move(processes));
+      try {
+        qdb::write_file_atomic(out_path, out.dump() + "\n");
+      } catch (const qdb::Error& e) {
+        std::fprintf(stderr, "qdb_trace_check: %s\n", e.what());
+        return 2;
+      }
+      std::printf("qdb_trace_check: %s <- %zu process(es), %zu events\n",
+                  out_path.c_str(), paths.size(), event_total);
     }
 
     if (g_findings == 0) {
       std::printf("qdb_trace_check: %s clean (%zu span name%s, %zu events)\n",
-                  path.c_str(), scan.by_name.size(),
-                  scan.by_name.size() == 1 ? "" : "s",
-                  doc.at("traceEvents").as_array().size());
+                  label.c_str(), all.by_name.size(),
+                  all.by_name.size() == 1 ? "" : "s", event_total);
       return 0;
     }
     std::printf("qdb_trace_check: %d finding(s)\n", g_findings);
