@@ -357,7 +357,12 @@ BatchReport run_batch(const std::vector<const DatasetEntry*>& entries,
     }
   };
 
+  // Each job's batch.job span parents under this batch.run on whichever
+  // thread runs it; the entry index is the branch salt, so sibling ids never
+  // collide across threads.
+  const obs::TraceContext here = obs::current_trace_context();
   auto run_index = [&](std::int64_t i) {
+    const obs::ScopedTraceContext trace_scope(here, static_cast<std::uint64_t>(i) + 1);
     const DatasetEntry* e = entries[static_cast<std::size_t>(i)];
     BatchJobRecord job =
         run_one_resilient(*e, options, &fatal[static_cast<std::size_t>(i)]);

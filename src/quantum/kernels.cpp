@@ -158,11 +158,15 @@ void apply_2q_scalar(Real* re, Real* im, std::uint64_t begin, std::uint64_t end,
 // ---------------------------------------------------------------------------
 // AVX2 kernels.  target("avx2") deliberately omits "fma": without the FMA
 // ISA the compiler cannot contract mul+add, so each lane computes exactly
-// the scalar expression tree.  Callers guarantee the contiguous inner run
-// (2^q for 1q, 2^min(q0,q1) for 2q) covers at least one full vector.
+// the scalar expression tree.  apply_1q_avx2/apply_2q_avx2 take ops whose
+// contiguous inner run (2^q for 1q, 2^min(q0,q1) for 2q) covers at least
+// one full vector; apply_low_avx2 takes the ops whose low qubit is below
+// the vector width.
 // ---------------------------------------------------------------------------
 
-__attribute__((target("avx2")))
+#define QDB_TARGET_AVX2 __attribute__((target("avx2")))
+
+QDB_TARGET_AVX2
 void apply_1q_avx2(double* re, double* im, std::uint64_t begin,
                    std::uint64_t end, int q, const double* m) {
   const std::uint64_t stride = std::uint64_t{1} << q;
@@ -201,7 +205,7 @@ void apply_1q_avx2(double* re, double* im, std::uint64_t begin,
   }
 }
 
-__attribute__((target("avx2")))
+QDB_TARGET_AVX2
 void apply_1q_avx2(float* re, float* im, std::uint64_t begin, std::uint64_t end,
                    int q, const float* m) {
   const std::uint64_t stride = std::uint64_t{1} << q;
@@ -240,7 +244,7 @@ void apply_1q_avx2(float* re, float* im, std::uint64_t begin, std::uint64_t end,
   }
 }
 
-__attribute__((target("avx2")))
+QDB_TARGET_AVX2
 void apply_2q_avx2(double* re, double* im, std::uint64_t begin,
                    std::uint64_t end, int q0, int q1, const double* m) {
   const std::uint64_t b0 = std::uint64_t{1} << q0;
@@ -283,7 +287,7 @@ void apply_2q_avx2(double* re, double* im, std::uint64_t begin,
   }
 }
 
-__attribute__((target("avx2")))
+QDB_TARGET_AVX2
 void apply_2q_avx2(float* re, float* im, std::uint64_t begin, std::uint64_t end,
                    int q0, int q1, const float* m) {
   const std::uint64_t b0 = std::uint64_t{1} << q0;
@@ -326,6 +330,172 @@ void apply_2q_avx2(float* re, float* im, std::uint64_t begin, std::uint64_t end,
   }
 }
 
+// One AVX2 vector of the working precision: eight floats or four doubles.
+// Lane permutes move 32-bit elements, so a double lane k travels as the
+// 32-bit pair (2k, 2k+1); either way a permute copies bits unchanged.
+template <class Real>
+struct Avx2;
+
+template <>
+struct Avx2<float> {
+  using V = __m256;
+  static constexpr int kLanes = 8;
+  QDB_TARGET_AVX2 static V load(const float* p) { return _mm256_loadu_ps(p); }
+  QDB_TARGET_AVX2 static void store(float* p, V v) { _mm256_storeu_ps(p, v); }
+  QDB_TARGET_AVX2 static V mul(V a, V b) { return _mm256_mul_ps(a, b); }
+  QDB_TARGET_AVX2 static V add(V a, V b) { return _mm256_add_ps(a, b); }
+  QDB_TARGET_AVX2 static V sub(V a, V b) { return _mm256_sub_ps(a, b); }
+  QDB_TARGET_AVX2 static V permute(V a, __m256i idx) {
+    return _mm256_permutevar8x32_ps(a, idx);
+  }
+  /// Permute indices that move lane from[k] to lane k.
+  QDB_TARGET_AVX2 static __m256i indices(const int* from) {
+    return _mm256_setr_epi32(from[0], from[1], from[2], from[3], from[4], from[5],
+                             from[6], from[7]);
+  }
+};
+
+template <>
+struct Avx2<double> {
+  using V = __m256d;
+  static constexpr int kLanes = 4;
+  QDB_TARGET_AVX2 static V load(const double* p) { return _mm256_loadu_pd(p); }
+  QDB_TARGET_AVX2 static void store(double* p, V v) { _mm256_storeu_pd(p, v); }
+  QDB_TARGET_AVX2 static V mul(V a, V b) { return _mm256_mul_pd(a, b); }
+  QDB_TARGET_AVX2 static V add(V a, V b) { return _mm256_add_pd(a, b); }
+  QDB_TARGET_AVX2 static V sub(V a, V b) { return _mm256_sub_pd(a, b); }
+  QDB_TARGET_AVX2 static V permute(V a, __m256i idx) {
+    return _mm256_castps_pd(_mm256_permutevar8x32_ps(_mm256_castpd_ps(a), idx));
+  }
+  QDB_TARGET_AVX2 static __m256i indices(const int* from) {
+    return _mm256_setr_epi32(2 * from[0], 2 * from[0] + 1, 2 * from[1], 2 * from[1] + 1,
+                             2 * from[2], 2 * from[2] + 1, 2 * from[3], 2 * from[3] + 1);
+  }
+};
+
+// One output vector of an op on kIn inputs: per lane, the scalar kernels'
+// tree  v = t_0;  v = v + t_c  (c = 1..kIn-1)  with t_c the complex product
+// (mr_c + i mi_c)(ar_c + i ai_c) written as (mr ar - mi ai, mr ai + mi ar).
+template <class Real, int kIn>
+QDB_TARGET_AVX2 inline void lane_row(const typename Avx2<Real>::V* ar,
+                                     const typename Avx2<Real>::V* ai,
+                                     const typename Avx2<Real>::V* mr,
+                                     const typename Avx2<Real>::V* mi,
+                                     typename Avx2<Real>::V& out_r,
+                                     typename Avx2<Real>::V& out_i) {
+  using T = Avx2<Real>;
+  auto vr = T::sub(T::mul(mr[0], ar[0]), T::mul(mi[0], ai[0]));
+  auto vi = T::add(T::mul(mr[0], ai[0]), T::mul(mi[0], ar[0]));
+  for (int c = 1; c < kIn; ++c) {
+    vr = T::add(vr, T::sub(T::mul(mr[c], ar[c]), T::mul(mi[c], ai[c])));
+    vi = T::add(vi, T::add(T::mul(mr[c], ai[c]), T::mul(mi[c], ar[c])));
+  }
+  out_r = vr;
+  out_i = vi;
+}
+
+// An op whose low qubit is below the vector width: kIn = 2 for a 1q op on
+// qs[0], 4 for a 2q op on (qs[0], qs[1]) = (q0, q1).  Input c is the
+// amplitude with bit j of c on qubit qs[j] (the scalar kernels' i00, i01,
+// i10, i11 order), and an output lane's matrix row is its own bits in the
+// same encoding.  Qubits below the width pair lanes within one vector; a
+// 2q op's other qubit h, if at or above it, pairs the vector at i with the
+// one at i + 2^h.  Each output lane gathers its kIn inputs with in-register
+// permutes from those vectors and multiplies them by its row, broadcast
+// per lane, in the scalar expression tree: the same IEEE operations on the
+// same operands, hence the same bits, as apply_1q_scalar/apply_2q_scalar.
+// [begin, end) must be a multiple of the vector width at both ends.
+template <class Real, int kIn>
+QDB_TARGET_AVX2 void apply_low_avx2(Real* re, Real* im, std::uint64_t begin,
+                                    std::uint64_t end, const int* qs, const Real* m) {
+  using T = Avx2<Real>;
+  using V = typename T::V;
+  constexpr int kLanes = T::kLanes;
+  constexpr int kQubits = kIn == 2 ? 1 : 2;
+  int h = -1;  // the qubit at or above the width, if any
+  int in_mask = 0;
+  for (int j = 0; j < kQubits; ++j) {
+    if ((1 << qs[j]) >= kLanes) {
+      h = qs[j];
+    } else {
+      in_mask |= 1 << qs[j];
+    }
+  }
+  // Input c: lane k reads lane (k & ~in_mask) | bits(c) of vector from_hi[c].
+  __m256i idx[kIn];
+  bool from_hi[kIn];
+  for (int c = 0; c < kIn; ++c) {
+    int bits = 0;
+    from_hi[c] = false;
+    for (int j = 0; j < kQubits; ++j) {
+      if (((c >> j) & 1) == 0) continue;
+      if (qs[j] == h) {
+        from_hi[c] = true;
+      } else {
+        bits |= 1 << qs[j];
+      }
+    }
+    int from[kLanes];
+    for (int k = 0; k < kLanes; ++k) from[k] = (k & ~in_mask) | bits;
+    idx[c] = T::indices(from);
+  }
+  // Output vector g (the value of bit h; 0 when there is no h), lane k:
+  // row r holds bit j = that lane's bit on qs[j].
+  const int groups = h >= 0 ? 2 : 1;
+  alignas(32) Real coef[2][2][kIn][kLanes];  // [g][re/im][c][lane]
+  V mr[2][kIn], mi[2][kIn];
+  for (int g = 0; g < groups; ++g) {
+    for (int k = 0; k < kLanes; ++k) {
+      int r = 0;
+      for (int j = 0; j < kQubits; ++j)
+        r |= (qs[j] == h ? g : (k >> qs[j]) & 1) << j;
+      for (int c = 0; c < kIn; ++c) {
+        coef[g][0][c][k] = m[2 * kIn * r + 2 * c];
+        coef[g][1][c][k] = m[2 * kIn * r + 2 * c + 1];
+      }
+    }
+    for (int c = 0; c < kIn; ++c) {
+      mr[g][c] = T::load(coef[g][0][c]);
+      mi[g][c] = T::load(coef[g][1][c]);
+    }
+  }
+  V ar[kIn], ai[kIn];
+  if (h < 0) {
+    for (std::uint64_t i = begin; i != end; i += kLanes) {
+      const V xr = T::load(re + i), xi = T::load(im + i);
+      for (int c = 0; c < kIn; ++c) {
+        ar[c] = T::permute(xr, idx[c]);
+        ai[c] = T::permute(xi, idx[c]);
+      }
+      V out_r, out_i;
+      lane_row<Real, kIn>(ar, ai, mr[0], mi[0], out_r, out_i);
+      T::store(re + i, out_r);
+      T::store(im + i, out_i);
+    }
+    return;
+  }
+  const std::uint64_t hs = std::uint64_t{1} << h;
+  for (std::uint64_t base = begin; base != end; base += hs << 1) {
+    for (std::uint64_t j = 0; j < hs; j += kLanes) {
+      const std::uint64_t i0 = base + j;
+      const std::uint64_t i1 = i0 + hs;
+      const V xr[2] = {T::load(re + i0), T::load(re + i1)};
+      const V xi[2] = {T::load(im + i0), T::load(im + i1)};
+      for (int c = 0; c < kIn; ++c) {
+        ar[c] = T::permute(xr[from_hi[c]], idx[c]);
+        ai[c] = T::permute(xi[from_hi[c]], idx[c]);
+      }
+      V out_r, out_i;
+      lane_row<Real, kIn>(ar, ai, mr[0], mi[0], out_r, out_i);
+      T::store(re + i0, out_r);
+      T::store(im + i0, out_i);
+      lane_row<Real, kIn>(ar, ai, mr[1], mi[1], out_r, out_i);
+      T::store(re + i1, out_r);
+      T::store(im + i1, out_i);
+    }
+  }
+}
+
 #endif  // QDB_AVX2_BUILD
 
 template <class Real>
@@ -338,29 +508,35 @@ constexpr std::uint64_t simd_lanes() {
 template <class Real>
 void apply_op_range(Real* re, Real* im, const OpK<Real>& op, std::uint64_t begin,
                     std::uint64_t end, bool avx2) {
-  if (op.two_qubit) {
-    const std::uint64_t bl = std::uint64_t{1} << std::min(op.q0, op.q1);
+  const int lo = op.two_qubit ? std::min(op.q0, op.q1) : op.q0;
 #ifdef QDB_AVX2_BUILD
-    if (avx2 && bl >= simd_lanes<Real>()) {
+  constexpr std::uint64_t lanes = simd_lanes<Real>();
+  if (avx2 && (std::uint64_t{1} << lo) >= lanes) {
+    if (op.two_qubit) {
       apply_2q_avx2(re, im, begin, end, op.q0, op.q1, op.m);
-      return;
+    } else {
+      apply_1q_avx2(re, im, begin, end, op.q0, op.m);
     }
+    return;
+  }
+  // Below the width: whole vectors only (a full-array chunk of an op on
+  // qubits 0..1 can be shorter than one).
+  if (avx2 && ((begin | end) & (lanes - 1)) == 0) {
+    if (op.two_qubit) {
+      const int qs[2] = {op.q0, op.q1};
+      apply_low_avx2<Real, 4>(re, im, begin, end, qs, op.m);
+    } else {
+      apply_low_avx2<Real, 2>(re, im, begin, end, &op.q0, op.m);
+    }
+    return;
+  }
 #else
-    (void)avx2;
-    (void)bl;
+  (void)avx2;
+  (void)lo;
 #endif
+  if (op.two_qubit) {
     apply_2q_scalar(re, im, begin, end, op.q0, op.q1, op.m);
   } else {
-    const std::uint64_t stride = std::uint64_t{1} << op.q0;
-#ifdef QDB_AVX2_BUILD
-    if (avx2 && stride >= simd_lanes<Real>()) {
-      apply_1q_avx2(re, im, begin, end, op.q0, op.m);
-      return;
-    }
-#else
-    (void)avx2;
-    (void)stride;
-#endif
     apply_1q_scalar(re, im, begin, end, op.q0, op.m);
   }
 }

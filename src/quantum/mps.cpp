@@ -15,108 +15,92 @@ namespace qdb {
 
 namespace {
 
-/// Thin SVD of an m x n complex matrix (row-major) by one-sided Jacobi.
-/// Returns U (m x k), singular values s (k, descending), Vdag (k x n) with
-/// k = min(m, n).  One-sided Jacobi orthogonalises the columns of A while
-/// accumulating V; it is simple, numerically robust, and fast for the small
-/// matrices an MPS two-site update produces.
-struct Svd {
-  std::vector<cplx> u;     // m x k row-major
-  std::vector<double> s;   // k
-  std::vector<cplx> vdag;  // k x n row-major
-  int m = 0, n = 0, k = 0;
-};
+// The loops below run on complex storage viewed as interleaved (re, im)
+// doubles (std::complex<double> is array-compatible with double[2]).  Each
+// complex product is written out as the real multiplies and adds that
+// std::complex<double> evaluates for finite operands:
+//   x * y        = (xr*yr - xi*yi, xr*yi + xi*yr)
+//   conj(x) * y  = (xr*yr + xi*yi, xr*yi - xi*yr)
+//   x * conj(y)  = (xr*yr + xi*yi, xi*yr - xr*yi)
+//   t * x        = (t*xr, t*xi)               (t real)
+// in the same summation order, so every tensor, singular value and sampled
+// bit is what the std::complex loops gave, without their per-product NaN
+// check (DESIGN.md §11.6).  This file is built without floating-point
+// contraction (src/quantum/CMakeLists.txt): an FMA would round differently.
 
-Svd svd_columns(const std::vector<cplx>& a_rowmajor, int m, int n) {
-  // Work column-major internally: g[j] is column j of A.
-  std::vector<std::vector<cplx>> g(static_cast<std::size_t>(n),
-                                   std::vector<cplx>(static_cast<std::size_t>(m)));
-  for (int r = 0; r < m; ++r)
-    for (int c = 0; c < n; ++c)
-      g[static_cast<std::size_t>(c)][static_cast<std::size_t>(r)] =
-          a_rowmajor[static_cast<std::size_t>(r) * static_cast<std::size_t>(n) +
-                     static_cast<std::size_t>(c)];
-  std::vector<std::vector<cplx>> v(static_cast<std::size_t>(n),
-                                   std::vector<cplx>(static_cast<std::size_t>(n)));
-  for (int j = 0; j < n; ++j) v[static_cast<std::size_t>(j)][static_cast<std::size_t>(j)] = 1.0;
+double* re_im(cplx* p) { return reinterpret_cast<double*>(p); }
+const double* re_im(const cplx* p) { return reinterpret_cast<const double*>(p); }
+
+/// Thin SVD by one-sided Jacobi, in place.  `g` holds an m x n complex
+/// matrix column-major (column j at g + 2*j*m); `v` must hold n*n complex
+/// entries.  On return column j of `g` is sigma_j u_j with sigma_j =
+/// norms[j], column j of `v` is v_j (A = sum_j sigma_j u_j v_j^dag), and
+/// order[0..n) lists the columns by descending norm.  One-sided Jacobi
+/// orthogonalises the columns of A while accumulating V; it is simple,
+/// numerically robust, and fast for the small matrices an MPS two-site
+/// update produces.
+void svd_columns(double* g, int m, int n, double* v, double* norms, int* order) {
+  const auto mm = static_cast<std::size_t>(m);
+  const auto nn = static_cast<std::size_t>(n);
+  std::fill(v, v + 2 * nn * nn, 0.0);
+  for (std::size_t j = 0; j < nn; ++j) v[2 * (j * nn + j)] = 1.0;
 
   constexpr double kTol = 1e-14;
   for (int sweep = 0; sweep < 60; ++sweep) {
     bool converged = true;
-    for (int i = 0; i < n - 1; ++i) {
-      for (int j = i + 1; j < n; ++j) {
-        auto& gi = g[static_cast<std::size_t>(i)];
-        auto& gj = g[static_cast<std::size_t>(j)];
-        double alpha = 0.0, beta = 0.0;
-        cplx gamma{0.0, 0.0};
-        for (int r = 0; r < m; ++r) {
-          alpha += std::norm(gi[static_cast<std::size_t>(r)]);
-          beta += std::norm(gj[static_cast<std::size_t>(r)]);
-          gamma += std::conj(gi[static_cast<std::size_t>(r)]) * gj[static_cast<std::size_t>(r)];
+    for (std::size_t i = 0; i + 1 < nn; ++i) {
+      for (std::size_t j = i + 1; j < nn; ++j) {
+        double* gi = g + 2 * i * mm;
+        double* gj = g + 2 * j * mm;
+        double alpha = 0.0, beta = 0.0, gamma_re = 0.0, gamma_im = 0.0;
+        for (std::size_t r = 0; r < 2 * mm; r += 2) {
+          const double xr = gi[r], xi = gi[r + 1], yr = gj[r], yi = gj[r + 1];
+          alpha += xr * xr + xi * xi;
+          beta += yr * yr + yi * yi;
+          gamma_re += xr * yr + xi * yi;  // conj(x) * y
+          gamma_im += xr * yi - xi * yr;
         }
-        const double ag = std::abs(gamma);
+        const double ag = std::abs(cplx{gamma_re, gamma_im});
         if (ag <= kTol * std::sqrt(alpha * beta) || ag == 0.0) continue;
         converged = false;
         // Absorb the phase of gamma into column j so the 2x2 Gram block
         // becomes real, then apply the classic Jacobi rotation.
-        const cplx phase = gamma / ag;
+        const double ph_re = gamma_re / ag, ph_im = gamma_im / ag;
         const double zeta = (beta - alpha) / (2.0 * ag);
         const double t = (zeta >= 0 ? 1.0 : -1.0) /
                          (std::abs(zeta) + std::sqrt(1.0 + zeta * zeta));
         const double c = 1.0 / std::sqrt(1.0 + t * t);
         const double s = c * t;
-        auto& vi = v[static_cast<std::size_t>(i)];
-        auto& vj = v[static_cast<std::size_t>(j)];
-        for (int r = 0; r < m; ++r) {
-          const cplx x = gi[static_cast<std::size_t>(r)];
-          const cplx y = gj[static_cast<std::size_t>(r)] * std::conj(phase);
-          gi[static_cast<std::size_t>(r)] = c * x - s * y;
-          gj[static_cast<std::size_t>(r)] = s * x + c * y;
-        }
-        for (int r = 0; r < n; ++r) {
-          const cplx x = vi[static_cast<std::size_t>(r)];
-          const cplx y = vj[static_cast<std::size_t>(r)] * std::conj(phase);
-          vi[static_cast<std::size_t>(r)] = c * x - s * y;
-          vj[static_cast<std::size_t>(r)] = s * x + c * y;
-        }
+        // x' = c x - s y and y' = s x + c y with y = col_j * conj(phase).
+        auto rotate = [&](double* xs, double* ys, std::size_t len) {
+          for (std::size_t r = 0; r < 2 * len; r += 2) {
+            const double xr = xs[r], xi = xs[r + 1];
+            const double yr = ys[r] * ph_re + ys[r + 1] * ph_im;
+            const double yi = ys[r + 1] * ph_re - ys[r] * ph_im;
+            xs[r] = c * xr - s * yr;
+            xs[r + 1] = c * xi - s * yi;
+            ys[r] = s * xr + c * yr;
+            ys[r + 1] = s * xi + c * yi;
+          }
+        };
+        rotate(gi, gj, mm);
+        rotate(v + 2 * i * nn, v + 2 * j * nn, nn);
       }
     }
     if (converged) break;
   }
 
   // Column norms are the singular values; sort descending.
-  std::vector<int> order(static_cast<std::size_t>(n));
-  std::iota(order.begin(), order.end(), 0);
-  std::vector<double> norms(static_cast<std::size_t>(n));
-  for (int j = 0; j < n; ++j) {
-    double nn = 0.0;
-    for (int r = 0; r < m; ++r) nn += std::norm(g[static_cast<std::size_t>(j)][static_cast<std::size_t>(r)]);
-    norms[static_cast<std::size_t>(j)] = std::sqrt(nn);
+  for (std::size_t j = 0; j < nn; ++j) {
+    const double* gj = g + 2 * j * mm;
+    double sq = 0.0;
+    for (std::size_t r = 0; r < 2 * mm; r += 2) sq += gj[r] * gj[r] + gj[r + 1] * gj[r + 1];
+    norms[j] = std::sqrt(sq);
   }
-  std::sort(order.begin(), order.end(),
-            [&](int a, int b) { return norms[static_cast<std::size_t>(a)] > norms[static_cast<std::size_t>(b)]; });
-
-  Svd out;
-  out.m = m;
-  out.n = n;
-  out.k = std::min(m, n);
-  out.u.assign(static_cast<std::size_t>(m) * static_cast<std::size_t>(out.k), cplx{});
-  out.s.assign(static_cast<std::size_t>(out.k), 0.0);
-  out.vdag.assign(static_cast<std::size_t>(out.k) * static_cast<std::size_t>(n), cplx{});
-  for (int kk = 0; kk < out.k; ++kk) {
-    const int j = order[static_cast<std::size_t>(kk)];
-    const double sv = norms[static_cast<std::size_t>(j)];
-    out.s[static_cast<std::size_t>(kk)] = sv;
-    if (sv > 0.0) {
-      for (int r = 0; r < m; ++r)
-        out.u[static_cast<std::size_t>(r) * static_cast<std::size_t>(out.k) + static_cast<std::size_t>(kk)] =
-            g[static_cast<std::size_t>(j)][static_cast<std::size_t>(r)] / sv;
-    }
-    for (int r = 0; r < n; ++r)
-      out.vdag[static_cast<std::size_t>(kk) * static_cast<std::size_t>(n) + static_cast<std::size_t>(r)] =
-          std::conj(v[static_cast<std::size_t>(j)][static_cast<std::size_t>(r)]);
-  }
-  return out;
+  std::iota(order, order + n, 0);
+  std::sort(order, order + n, [&](int a, int b) {
+    return norms[static_cast<std::size_t>(a)] > norms[static_cast<std::size_t>(b)];
+  });
 }
 
 /// Byte budget of one sample() call's prefix trie (node records plus
@@ -127,23 +111,37 @@ constexpr std::size_t kTrieMaxBytes = std::size_t{4} << 20;
 /// chi_r): from the prefix vector `vec` (chi_l) write the two candidate
 /// vectors v_p(r) = sum_l vec(l) A(l,p,r) to out[p * chi_r + r] and their
 /// unnormalised probabilities prob[p] = v_p^dag right v_p.
-void conditional_step(const cplx* a, int chi_l, int chi_r, const cplx* right,
-                      const cplx* vec, cplx* out, double prob[2]) {
+void conditional_step(const cplx* a_data, int chi_l, int chi_r, const cplx* right_data,
+                      const cplx* vec_data, cplx* out_data, double prob[2]) {
+  const double* a = re_im(a_data);
+  const double* right = re_im(right_data);
+  const double* vec = re_im(vec_data);
   const auto cr = static_cast<std::size_t>(chi_r);
-  for (int p = 0; p < 2; ++p) {
-    cplx* v = out + static_cast<std::size_t>(p) * cr;
-    std::fill(v, v + cr, cplx{});
-    for (int l = 0; l < chi_l; ++l) {
-      if (vec[static_cast<std::size_t>(l)] == cplx{}) continue;
-      for (std::size_t r = 0; r < cr; ++r)
-        v[r] += vec[static_cast<std::size_t>(l)] *
-                a[(static_cast<std::size_t>(l) * 2 + static_cast<std::size_t>(p)) * cr + r];
+  for (std::size_t p = 0; p < 2; ++p) {
+    double* v = re_im(out_data) + 2 * p * cr;
+    std::fill(v, v + 2 * cr, 0.0);
+    for (std::size_t l = 0; l < static_cast<std::size_t>(chi_l); ++l) {
+      const double xr = vec[2 * l], xi = vec[2 * l + 1];
+      if (xr == 0.0 && xi == 0.0) continue;
+      const double* row = a + 2 * ((l * 2 + p) * cr);
+      for (std::size_t r = 0; r < 2 * cr; r += 2) {
+        v[r] += xr * row[r] - xi * row[r + 1];
+        v[r + 1] += xr * row[r + 1] + xi * row[r];
+      }
     }
-    cplx acc{};
-    for (std::size_t r = 0; r < cr; ++r)
-      for (std::size_t rp = 0; rp < cr; ++rp)
-        acc += std::conj(v[r]) * right[r * cr + rp] * v[rp];
-    prob[p] = std::max(acc.real(), 0.0);
+    // Re(sum_{r,r'} conj(v_r) right(r,r') v_r'): the imaginary part of the
+    // sum is never read, so it is not accumulated.
+    double acc = 0.0;
+    for (std::size_t r = 0; r < cr; ++r) {
+      const double xr = v[2 * r], xi = v[2 * r + 1];
+      const double* row = right + 2 * r * cr;
+      for (std::size_t rp = 0; rp < 2 * cr; rp += 2) {
+        const double tr = xr * row[rp] + xi * row[rp + 1];  // conj(v_r) * right
+        const double ti = xr * row[rp + 1] - xi * row[rp];
+        acc += tr * v[rp] - ti * v[rp + 1];
+      }
+    }
+    prob[p] = std::max(acc, 0.0);
   }
 }
 
@@ -181,14 +179,22 @@ int MpsSimulator::max_bond_reached() const {
 
 void MpsSimulator::apply_1q(const std::array<std::array<cplx, 2>, 2>& u, int q) {
   Site& s = sites_[static_cast<std::size_t>(q)];
-  for (int l = 0; l < s.chi_l; ++l) {
-    for (int r = 0; r < s.chi_r; ++r) {
-      const std::size_t i0 = (static_cast<std::size_t>(l) * 2 + 0) * static_cast<std::size_t>(s.chi_r) + static_cast<std::size_t>(r);
-      const std::size_t i1 = (static_cast<std::size_t>(l) * 2 + 1) * static_cast<std::size_t>(s.chi_r) + static_cast<std::size_t>(r);
-      const cplx a0 = s.data[i0];
-      const cplx a1 = s.data[i1];
-      s.data[i0] = u[0][0] * a0 + u[0][1] * a1;
-      s.data[i1] = u[1][0] * a0 + u[1][1] * a1;
+  const double u00r = u[0][0].real(), u00i = u[0][0].imag();
+  const double u01r = u[0][1].real(), u01i = u[0][1].imag();
+  const double u10r = u[1][0].real(), u10i = u[1][0].imag();
+  const double u11r = u[1][1].real(), u11i = u[1][1].imag();
+  const auto cr = static_cast<std::size_t>(s.chi_r);
+  double* d = re_im(s.data.data());
+  for (std::size_t l = 0; l < static_cast<std::size_t>(s.chi_l); ++l) {
+    double* row0 = d + 2 * (l * 2 + 0) * cr;
+    double* row1 = d + 2 * (l * 2 + 1) * cr;
+    for (std::size_t r = 0; r < 2 * cr; r += 2) {
+      const double a0r = row0[r], a0i = row0[r + 1];
+      const double a1r = row1[r], a1i = row1[r + 1];
+      row0[r] = (u00r * a0r - u00i * a0i) + (u01r * a1r - u01i * a1i);
+      row0[r + 1] = (u00r * a0i + u00i * a0r) + (u01r * a1i + u01i * a1r);
+      row1[r] = (u10r * a0r - u10i * a0i) + (u11r * a1r - u11i * a1i);
+      row1[r + 1] = (u10r * a0i + u10i * a0r) + (u11r * a1i + u11i * a1r);
     }
   }
 }
@@ -197,76 +203,83 @@ void MpsSimulator::apply_2q_adjacent(const std::array<std::array<cplx, 4>, 4>& u
                                      int low, bool first_is_low) {
   Site& a = sites_[static_cast<std::size_t>(low)];
   Site& b = sites_[static_cast<std::size_t>(low) + 1];
-  const int cl = a.chi_l;
-  const int cm = a.chi_r;
-  const int cr = b.chi_r;
-  QDB_REQUIRE(cm == b.chi_l, "mps bond mismatch");
+  QDB_REQUIRE(a.chi_r == b.chi_l, "mps bond mismatch");
+  const auto cl = static_cast<std::size_t>(a.chi_l);
+  const auto cm = static_cast<std::size_t>(a.chi_r);
+  const auto cr = static_cast<std::size_t>(b.chi_r);
+  const std::size_t m_rows = cl * 2;
+  const std::size_t n_cols = 2 * cr;
+  scratch_.theta.resize(cl * 4 * cr);
+  scratch_.cols.resize(m_rows * n_cols);
+  scratch_.v.resize(n_cols * n_cols);
+  scratch_.norms.resize(n_cols);
+  scratch_.order.resize(n_cols);
 
-  // theta(l, pa, pb, r) = sum_m a(l, pa, m) * b(m, pb, r)
-  std::vector<cplx> theta(static_cast<std::size_t>(cl) * 4 * static_cast<std::size_t>(cr));
-  auto th = [&](int l, int pa, int pb, int r) -> cplx& {
-    return theta[((static_cast<std::size_t>(l) * 2 + static_cast<std::size_t>(pa)) * 2 +
-                  static_cast<std::size_t>(pb)) * static_cast<std::size_t>(cr) +
-                 static_cast<std::size_t>(r)];
-  };
-  for (int l = 0; l < cl; ++l)
-    for (int pa = 0; pa < 2; ++pa)
-      for (int m = 0; m < cm; ++m) {
-        const cplx av = a.data[(static_cast<std::size_t>(l) * 2 + static_cast<std::size_t>(pa)) * static_cast<std::size_t>(cm) + static_cast<std::size_t>(m)];
-        if (av == cplx{}) continue;
-        for (int pb = 0; pb < 2; ++pb)
-          for (int r = 0; r < cr; ++r)
-            th(l, pa, pb, r) += av * b.data[(static_cast<std::size_t>(m) * 2 + static_cast<std::size_t>(pb)) * static_cast<std::size_t>(cr) + static_cast<std::size_t>(r)];
+  // theta(l, pa, pb, r) = sum_m a(l, pa, m) * b(m, pb, r), at
+  // theta[2 * (((l * 2 + pa) * 2 + pb) * cr + r)].
+  double* theta = re_im(scratch_.theta.data());
+  std::fill(theta, theta + 2 * scratch_.theta.size(), 0.0);
+  const double* ad = re_im(a.data.data());
+  const double* bd = re_im(b.data.data());
+  for (std::size_t lpa = 0; lpa < cl * 2; ++lpa)
+    for (std::size_t m = 0; m < cm; ++m) {
+      const double xr = ad[2 * (lpa * cm + m)], xi = ad[2 * (lpa * cm + m) + 1];
+      if (xr == 0.0 && xi == 0.0) continue;
+      for (std::size_t pb = 0; pb < 2; ++pb) {
+        double* th = theta + 2 * ((lpa * 2 + pb) * cr);
+        const double* brow = bd + 2 * ((m * 2 + pb) * cr);
+        for (std::size_t r = 0; r < 2 * cr; r += 2) {
+          th[r] += xr * brow[r] - xi * brow[r + 1];
+          th[r + 1] += xr * brow[r + 1] + xi * brow[r];
+        }
       }
+    }
 
-  // Apply the gate on the two physical indices.  The gate matrix is indexed
-  // by |q1 q0> where q0 is the first operand: row = 2*bit(q1) + bit(q0).
-  std::vector<cplx> theta2(theta.size());
-  auto th2 = [&](int l, int pa, int pb, int r) -> cplx& {
-    return theta2[((static_cast<std::size_t>(l) * 2 + static_cast<std::size_t>(pa)) * 2 +
-                   static_cast<std::size_t>(pb)) * static_cast<std::size_t>(cr) +
-                  static_cast<std::size_t>(r)];
-  };
-  for (int l = 0; l < cl; ++l)
-    for (int r = 0; r < cr; ++r)
-      for (int pa = 0; pa < 2; ++pa)
-        for (int pb = 0; pb < 2; ++pb) {
-          const int row = first_is_low ? pb * 2 + pa : pa * 2 + pb;
-          cplx acc{};
-          for (int qa = 0; qa < 2; ++qa)
-            for (int qb = 0; qb < 2; ++qb) {
-              const int col = first_is_low ? qb * 2 + qa : qa * 2 + qb;
-              acc += u[static_cast<std::size_t>(row)][static_cast<std::size_t>(col)] * th(l, qa, qb, r);
+  // Apply the gate on the two physical indices, writing the (cl*2) x (2*cr)
+  // matrix (row l*2+pa, column pb*cr+r) straight into the SVD's columns.
+  // The gate matrix is indexed by |q1 q0> where q0 is the first operand:
+  // row = 2*bit(q1) + bit(q0).
+  double* cols = re_im(scratch_.cols.data());
+  for (std::size_t l = 0; l < cl; ++l)
+    for (std::size_t r = 0; r < cr; ++r)
+      for (std::size_t pa = 0; pa < 2; ++pa)
+        for (std::size_t pb = 0; pb < 2; ++pb) {
+          const std::size_t row = first_is_low ? pb * 2 + pa : pa * 2 + pb;
+          double acc_re = 0.0, acc_im = 0.0;
+          for (std::size_t qa = 0; qa < 2; ++qa)
+            for (std::size_t qb = 0; qb < 2; ++qb) {
+              const std::size_t col = first_is_low ? qb * 2 + qa : qa * 2 + qb;
+              const double ur = u[row][col].real(), ui = u[row][col].imag();
+              const double* th = theta + 2 * (((l * 2 + qa) * 2 + qb) * cr + r);
+              acc_re += ur * th[0] - ui * th[1];
+              acc_im += ur * th[1] + ui * th[0];
             }
-          th2(l, pa, pb, r) = acc;
+          double* out = cols + 2 * ((pb * cr + r) * m_rows + l * 2 + pa);
+          out[0] = acc_re;
+          out[1] = acc_im;
         }
 
-  // Reshape to (cl*2) x (2*cr) and SVD.
-  const int m_rows = cl * 2;
-  const int n_cols = 2 * cr;
-  std::vector<cplx> mat(static_cast<std::size_t>(m_rows) * static_cast<std::size_t>(n_cols));
-  for (int l = 0; l < cl; ++l)
-    for (int pa = 0; pa < 2; ++pa)
-      for (int pb = 0; pb < 2; ++pb)
-        for (int r = 0; r < cr; ++r)
-          mat[static_cast<std::size_t>(l * 2 + pa) * static_cast<std::size_t>(n_cols) + static_cast<std::size_t>(pb * cr + r)] =
-              th2(l, pa, pb, r);
-
-  Svd svd = svd_columns(mat, m_rows, n_cols);
+  double* v = re_im(scratch_.v.data());
+  const double* norms = scratch_.norms.data();
+  const int* order = scratch_.order.data();
+  svd_columns(cols, static_cast<int>(m_rows), static_cast<int>(n_cols), v,
+              scratch_.norms.data(), scratch_.order.data());
   ++svds_;
+  const int k = static_cast<int>(std::min(m_rows, n_cols));
+  auto sigma = [&](int i) { return norms[order[i]]; };
 
   // Truncate: drop singular values below tol * s_max and cap at max_bond.
   int keep = 0;
-  const double smax = svd.s.empty() ? 0.0 : svd.s[0];
-  for (int i = 0; i < svd.k; ++i) {
-    if (svd.s[static_cast<std::size_t>(i)] > trunc_tol_ * smax && keep < max_bond_) ++keep;
+  const double smax = k == 0 ? 0.0 : sigma(0);
+  for (int i = 0; i < k; ++i) {
+    if (sigma(i) > trunc_tol_ * smax && keep < max_bond_) ++keep;
   }
   keep = std::max(keep, 1);
   peak_bond_ = std::max(peak_bond_, keep);
   double kept_w = 0.0, all_w = 0.0;
-  for (int i = 0; i < svd.k; ++i) {
-    all_w += svd.s[static_cast<std::size_t>(i)] * svd.s[static_cast<std::size_t>(i)];
-    if (i < keep) kept_w += svd.s[static_cast<std::size_t>(i)] * svd.s[static_cast<std::size_t>(i)];
+  for (int i = 0; i < k; ++i) {
+    all_w += sigma(i) * sigma(i);
+    if (i < keep) kept_w += sigma(i) * sigma(i);
   }
   truncated_weight_ += all_w - kept_w;
   // Truncation accounting (ISSUE 3 invariant catalog): the kept rank must
@@ -281,22 +294,31 @@ void MpsSimulator::apply_2q_adjacent(const std::array<std::array<cplx, 4>, 4>& u
   // Renormalise the kept weight so the state stays a unit vector.
   const double rescale = kept_w > 0.0 ? std::sqrt(all_w / kept_w) : 1.0;
 
+  // a(row, kk) = u_kk(row) = column order[kk] / sigma_kk (0 for sigma 0).
+  const auto kp = static_cast<std::size_t>(keep);
   a.chi_r = keep;
-  a.data.assign(static_cast<std::size_t>(cl) * 2 * static_cast<std::size_t>(keep), cplx{});
-  for (int row = 0; row < m_rows; ++row)
-    for (int kk = 0; kk < keep; ++kk)
-      a.data[static_cast<std::size_t>(row) * static_cast<std::size_t>(keep) + static_cast<std::size_t>(kk)] =
-          svd.u[static_cast<std::size_t>(row) * static_cast<std::size_t>(svd.k) + static_cast<std::size_t>(kk)];
+  a.data.resize(m_rows * kp);
+  double* an = re_im(a.data.data());
+  for (std::size_t row = 0; row < m_rows; ++row)
+    for (std::size_t kk = 0; kk < kp; ++kk) {
+      const double sv = sigma(static_cast<int>(kk));
+      const double* g = cols + 2 * (static_cast<std::size_t>(order[kk]) * m_rows + row);
+      an[2 * (row * kp + kk)] = sv > 0.0 ? g[0] / sv : 0.0;
+      an[2 * (row * kp + kk) + 1] = sv > 0.0 ? g[1] / sv : 0.0;
+    }
 
+  // b(kk, pb, r) = sigma_kk * rescale * conj(v_kk(pb * cr + r)).
   b.chi_l = keep;
-  b.chi_r = cr;
-  b.data.assign(static_cast<std::size_t>(keep) * 2 * static_cast<std::size_t>(cr), cplx{});
-  for (int kk = 0; kk < keep; ++kk)
-    for (int pb = 0; pb < 2; ++pb)
-      for (int r = 0; r < cr; ++r)
-        b.data[(static_cast<std::size_t>(kk) * 2 + static_cast<std::size_t>(pb)) * static_cast<std::size_t>(cr) + static_cast<std::size_t>(r)] =
-            svd.s[static_cast<std::size_t>(kk)] * rescale *
-            svd.vdag[static_cast<std::size_t>(kk) * static_cast<std::size_t>(n_cols) + static_cast<std::size_t>(pb * cr + r)];
+  b.data.resize(kp * n_cols);
+  double* bn = re_im(b.data.data());
+  for (std::size_t kk = 0; kk < kp; ++kk) {
+    const double scale = sigma(static_cast<int>(kk)) * rescale;
+    const double* vk = v + 2 * static_cast<std::size_t>(order[kk]) * n_cols;
+    for (std::size_t col = 0; col < n_cols; ++col) {
+      bn[2 * (kk * n_cols + col)] = vk[2 * col] * scale;
+      bn[2 * (kk * n_cols + col) + 1] = -vk[2 * col + 1] * scale;
+    }
+  }
 }
 
 void MpsSimulator::swap_adjacent(int low) {
@@ -383,30 +405,47 @@ cplx MpsSimulator::amplitude(std::uint64_t x) const {
 std::vector<std::vector<cplx>> MpsSimulator::right_environments() const {
   std::vector<std::vector<cplx>> env(static_cast<std::size_t>(num_qubits_) + 1);
   env[static_cast<std::size_t>(num_qubits_)] = {cplx{1.0, 0.0}};
+  std::vector<cplx> tmp_buf;
   for (int q = num_qubits_ - 1; q >= 0; --q) {
     const Site& s = sites_[static_cast<std::size_t>(q)];
-    const auto& right = env[static_cast<std::size_t>(q) + 1];
-    std::vector<cplx> e(static_cast<std::size_t>(s.chi_l) * static_cast<std::size_t>(s.chi_l), cplx{});
+    const auto cl = static_cast<std::size_t>(s.chi_l);
+    const auto cr = static_cast<std::size_t>(s.chi_r);
+    const double* right = re_im(env[static_cast<std::size_t>(q) + 1].data());
+    const double* a = re_im(s.data.data());
+    std::vector<cplx> e(cl * cl, cplx{});
+    double* ed = re_im(e.data());
+    tmp_buf.resize(cl * cr);
+    double* tmp = re_im(tmp_buf.data());
     // e(l, l') = sum_p sum_{r, r'} A(l,p,r) right(r,r') conj(A(l',p,r'))
-    for (int p = 0; p < 2; ++p) {
+    for (std::size_t p = 0; p < 2; ++p) {
       // tmp(l, r') = sum_r A(l,p,r) right(r, r')
-      std::vector<cplx> tmp(static_cast<std::size_t>(s.chi_l) * static_cast<std::size_t>(s.chi_r), cplx{});
-      for (int l = 0; l < s.chi_l; ++l)
-        for (int r = 0; r < s.chi_r; ++r) {
-          const cplx av = s.data[(static_cast<std::size_t>(l) * 2 + static_cast<std::size_t>(p)) * static_cast<std::size_t>(s.chi_r) + static_cast<std::size_t>(r)];
-          if (av == cplx{}) continue;
-          for (int rp = 0; rp < s.chi_r; ++rp)
-            tmp[static_cast<std::size_t>(l) * static_cast<std::size_t>(s.chi_r) + static_cast<std::size_t>(rp)] +=
-                av * right[static_cast<std::size_t>(r) * static_cast<std::size_t>(s.chi_r) + static_cast<std::size_t>(rp)];
+      std::fill(tmp, tmp + 2 * cl * cr, 0.0);
+      for (std::size_t l = 0; l < cl; ++l) {
+        double* trow = tmp + 2 * l * cr;
+        for (std::size_t r = 0; r < cr; ++r) {
+          const double xr = a[2 * ((l * 2 + p) * cr + r)];
+          const double xi = a[2 * ((l * 2 + p) * cr + r) + 1];
+          if (xr == 0.0 && xi == 0.0) continue;
+          const double* rrow = right + 2 * r * cr;
+          for (std::size_t rp = 0; rp < 2 * cr; rp += 2) {
+            trow[rp] += xr * rrow[rp] - xi * rrow[rp + 1];
+            trow[rp + 1] += xr * rrow[rp + 1] + xi * rrow[rp];
+          }
         }
-      for (int l = 0; l < s.chi_l; ++l)
-        for (int lp = 0; lp < s.chi_l; ++lp) {
-          cplx acc{};
-          for (int rp = 0; rp < s.chi_r; ++rp)
-            acc += tmp[static_cast<std::size_t>(l) * static_cast<std::size_t>(s.chi_r) + static_cast<std::size_t>(rp)] *
-                   std::conj(s.data[(static_cast<std::size_t>(lp) * 2 + static_cast<std::size_t>(p)) * static_cast<std::size_t>(s.chi_r) + static_cast<std::size_t>(rp)]);
-          e[static_cast<std::size_t>(l) * static_cast<std::size_t>(s.chi_l) + static_cast<std::size_t>(lp)] += acc;
+      }
+      for (std::size_t l = 0; l < cl; ++l) {
+        const double* trow = tmp + 2 * l * cr;
+        for (std::size_t lp = 0; lp < cl; ++lp) {
+          const double* arow = a + 2 * ((lp * 2 + p) * cr);
+          double acc_re = 0.0, acc_im = 0.0;
+          for (std::size_t rp = 0; rp < 2 * cr; rp += 2) {
+            acc_re += trow[rp] * arow[rp] + trow[rp + 1] * arow[rp + 1];  // tmp * conj(A)
+            acc_im += trow[rp + 1] * arow[rp] - trow[rp] * arow[rp + 1];
+          }
+          ed[2 * (l * cl + lp)] += acc_re;
+          ed[2 * (l * cl + lp) + 1] += acc_im;
         }
+      }
     }
     env[static_cast<std::size_t>(q)] = std::move(e);
   }

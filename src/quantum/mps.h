@@ -81,9 +81,10 @@ class MpsSimulator {
                                       std::size_t shots, Rng& rng) const;
 
  private:
-  /// Read access to the site tensors for the per-shot sampling oracle in
-  /// tests/test_quantum.cpp.
+  /// Read access to the site tensors for the per-shot sampling oracle and
+  /// the std::complex two-site update oracle in tests/test_quantum.cpp.
   friend struct MpsSamplingOracle;
+  friend struct MpsTwoSiteOracle;
 
   struct Site {
     // Row-major tensor: value(l, p, r) = data[(l * 2 + p) * chi_r + r].
@@ -103,11 +104,22 @@ class MpsSimulator {
   /// the contraction of sites i..n-1 with physical indices summed.
   std::vector<std::vector<cplx>> right_environments() const;
 
+  /// Working storage of apply_2q_adjacent, grown to the largest update
+  /// seen and reused, so a gate allocates nothing once it is warm.
+  struct Scratch {
+    std::vector<cplx> theta;  ///< theta(l, pa, pb, r), row-major
+    std::vector<cplx> cols;   ///< the (2 chi_l) x (2 chi_r) matrix, column-major
+    std::vector<cplx> v;      ///< Jacobi's right rotations, column-major
+    std::vector<double> norms;
+    std::vector<int> order;
+  };
+
   int num_qubits_;
   int max_bond_;
   double trunc_tol_;
   double truncated_weight_ = 0.0;
   std::vector<Site> sites_;
+  Scratch scratch_;
   // Work tallies of the apply(Circuit) in progress.
   std::uint64_t svds_ = 0;
   int peak_bond_ = 1;

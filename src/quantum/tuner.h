@@ -64,7 +64,7 @@ class Tuner {
   void clear_memory() QDB_EXCLUDES(mu_);
 
   /// On-disk format version; bumping it retires every persisted plan.
-  static constexpr int kFormatVersion = 1;
+  static constexpr int kFormatVersion = 2;
 
  private:
   // *_locked helpers run with mu_ held by the caller (the QDB_REQUIRES

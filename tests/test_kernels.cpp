@@ -13,6 +13,7 @@
 #include "quantum/ansatz.h"
 #include "quantum/fusion.h"
 #include "quantum/kernels.h"
+#include "quantum/noise.h"
 #include "quantum/statevector.h"
 #include "quantum/tuner.h"
 #include "transpile/basis.h"
@@ -98,6 +99,112 @@ TEST(FusedEngineF64, ScalarFallbackMatchesDispatchBitForBit) {
   // On AVX2 hosts this proves the SIMD kernels reproduce the scalar
   // expression tree exactly; elsewhere both sides run the same fallback.
   EXPECT_TRUE(bit_identical(dispatch.amplitudes(), scalar.amplitudes()));
+}
+
+/// EfficientSU2 (reps 2) with one Eagle noise trajectory: the circuits
+/// stage-1 shot scoring applies, Pauli errors included.
+Circuit noisy_ansatz(int nq, std::uint64_t seed) {
+  const EfficientSU2 ansatz(nq, 2);
+  Rng rng(seed);
+  return noise_trajectory(ansatz.build(ansatz.initial_point(rng, 1.0)),
+                          NoiseModel::eagle_r3(), rng);
+}
+
+TEST(FusedEngineF32, ScalarFallbackMatchesDispatchBitForBit) {
+  // Matrix-fused f32 programs put 1q and 2q ops on qubits 0..2, below the
+  // eight-lane width; on AVX2 hosts those take the in-register permute
+  // kernels, which must reproduce the scalar loops to the bit.
+  for (int nq = 9; nq <= 14; ++nq) {
+    const Circuit c = noisy_ansatz(nq, 50 + static_cast<std::uint64_t>(nq));
+    for (int block = 1; block <= nq; ++block) {
+      EngineOptions scalar_opt;
+      scalar_opt.force_scalar = true;
+      scalar_opt.block_qubits = block;
+      EngineOptions dispatch_opt;
+      dispatch_opt.block_qubits = block;
+      FusedEngine scalar(nq, Precision::f32, scalar_opt);
+      FusedEngine dispatch(nq, Precision::f32, dispatch_opt);
+      scalar.apply(c);
+      dispatch.apply(c);
+      EXPECT_TRUE(bit_identical(dispatch.amplitudes(), scalar.amplitudes()))
+          << "nq=" << nq << " block=" << block;
+    }
+  }
+}
+
+std::array<std::array<cplx, 2>, 2> random_2x2(Rng& rng) {
+  std::array<std::array<cplx, 2>, 2> m{};
+  for (auto& row : m)
+    for (cplx& x : row) x = cplx{rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+  return m;
+}
+
+std::array<std::array<cplx, 4>, 4> random_4x4(Rng& rng) {
+  std::array<std::array<cplx, 4>, 4> m{};
+  for (auto& row : m)
+    for (cplx& x : row) x = cplx{rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+  return m;
+}
+
+TEST(FusedKernels, LowQubitOpsMatchScalarAtEveryPairAndRange) {
+  // Every op whose low qubit is below the lane count (8 f32, 4 f64): each
+  // 1q op, and each (q0, q1) in both orders, with the other qubit below or
+  // above the width.  Block sizes above the op's top qubit run it on block
+  // ranges, the rest on full-array chunks (down to chunks shorter than one
+  // vector, which stay scalar).  Random non-unitary matrices, from a random
+  // state, so every matrix entry reaches the result.
+  const int nq = 9;
+  for (const Precision prec : {Precision::f32, Precision::f64}) {
+    const int lane_qubits = prec == Precision::f32 ? 3 : 2;
+    Rng rng(23);
+    std::vector<FusedOp> ops;
+    for (int q = 0; q < lane_qubits; ++q) {
+      FusedOp op;
+      op.q0 = q;
+      op.m2 = random_2x2(rng);
+      ops.push_back(op);
+    }
+    for (int q0 = 0; q0 < nq; ++q0)
+      for (int q1 = 0; q1 < nq; ++q1) {
+        if (q0 == q1 || std::min(q0, q1) >= lane_qubits) continue;
+        FusedOp op;
+        op.two_qubit = true;
+        op.q0 = q0;
+        op.q1 = q1;
+        op.m4 = random_4x4(rng);
+        ops.push_back(op);
+      }
+    FusedProgram prep;
+    prep.num_qubits = nq;
+    for (int q = 0; q < nq; ++q) {
+      FusedOp op;
+      op.q0 = q;
+      op.m2 = random_2x2(rng);
+      prep.ops.push_back(op);
+    }
+    for (const FusedOp& op : ops) {
+      FusedProgram p;
+      p.num_qubits = nq;
+      p.ops = {op};
+      for (int block = 1; block <= nq; ++block) {
+        EngineOptions scalar_opt;
+        scalar_opt.force_scalar = true;
+        scalar_opt.block_qubits = block;
+        EngineOptions dispatch_opt;
+        dispatch_opt.block_qubits = block;
+        FusedEngine scalar(nq, prec, scalar_opt);
+        FusedEngine dispatch(nq, prec, dispatch_opt);
+        scalar.apply(prep);
+        dispatch.apply(prep);
+        ASSERT_TRUE(bit_identical(dispatch.amplitudes(), scalar.amplitudes()));
+        scalar.apply(p);
+        dispatch.apply(p);
+        EXPECT_TRUE(bit_identical(dispatch.amplitudes(), scalar.amplitudes()))
+            << precision_name(prec) << " q0=" << op.q0 << " q1=" << op.q1
+            << " block=" << block;
+      }
+    }
+  }
 }
 
 TEST(FusedEngineF64, ResetAndReuseMatchesFreshEngine) {

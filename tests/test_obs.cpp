@@ -19,6 +19,7 @@
 #include "common/json.h"
 #include "common/parallel.h"
 #include "core/qdockbank.h"
+#include "data/batch.h"
 #include "obs/flight.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -738,6 +739,32 @@ TEST_F(TraceTest, ColdEvaluateChargesPoolThreadSearchesToTheirDock) {
   const std::vector<SpanSummary> rows = summarize_spans(events);
   const SpanSummary& dock = row_named(rows, "dock.run");
   EXPECT_LT(dock.self_us, dock.total_us / 2);
+}
+
+TEST_F(TraceTest, BatchJobsParentUnderTheirRunOnEveryThread) {
+  std::vector<const DatasetEntry*> entries = entries_in_group(Group::S);
+  entries.resize(8);
+  BatchOptions options;
+  options.vqe = small_pipeline_options().vqe;
+  options.vqe.max_evaluations = 8;
+  options.vqe.final_shots = 256;
+  options.threads = 4;
+  TraceSession session;
+  session.start();
+  {
+    const ScopedTraceContext root(derive_root_context(29));
+    run_batch(entries, options);
+  }
+  session.stop();
+  const std::vector<TraceEvent> events = session.events();
+  const TraceEvent& run = only_event(events, "batch.run");
+  std::set<std::uint64_t> jobs;
+  for (const TraceEvent& ev : events) {
+    if (ev.name != "batch.job") continue;
+    EXPECT_EQ(ev.parent_id, run.span_id) << "job on thread " << ev.tid;
+    jobs.insert(ev.span_id);
+  }
+  EXPECT_EQ(jobs.size(), entries.size());  // one job each, every id distinct
 }
 
 TEST_F(TraceTest, ColdEvaluateTunesBeforeTheImprintDock) {

@@ -3,9 +3,13 @@
 // the noise model, and the EfficientSU2 ansatz.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <map>
+#include <numeric>
 #include <set>
+#include <string>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -482,6 +486,260 @@ TEST(Mps, MemoisedSamplingMatchesPerShotWalkBitForBit) {
     for (int q = 0; q < nq; ++q) prefixes.emplace(q, x & ((std::uint64_t{1} << q) - 1));
   EXPECT_LT(expansions.value() - expansions0, prefixes.size()) << "memo cap never reached";
   expect_sampling_matches_oracle(mps, shots, 99);
+}
+
+}  // namespace
+
+/// MpsSimulator's two-site update as it ran on std::complex arithmetic and a
+/// vector of per-column vectors, kept as the bit-for-bit oracle of the
+/// allocation-free plain-double update.
+struct MpsTwoSiteOracle {
+  using Columns = std::vector<std::vector<cplx>>;
+
+  /// One-sided Jacobi SVD of an m x n row-major matrix: U (m x k), s (k,
+  /// descending), Vdag (k x n), k = min(m, n).
+  static void svd(const std::vector<cplx>& a, int m, int n, std::vector<cplx>& u,
+                  std::vector<double>& s, std::vector<cplx>& vdag) {
+    auto z = [](int i) { return static_cast<std::size_t>(i); };
+    Columns g(z(n), std::vector<cplx>(z(m)));
+    for (int r = 0; r < m; ++r)
+      for (int c = 0; c < n; ++c) g[z(c)][z(r)] = a[z(r) * z(n) + z(c)];
+    Columns v(z(n), std::vector<cplx>(z(n)));
+    for (int j = 0; j < n; ++j) v[z(j)][z(j)] = 1.0;
+    for (int sweep = 0; sweep < 60; ++sweep) {
+      bool converged = true;
+      for (int i = 0; i < n - 1; ++i) {
+        for (int j = i + 1; j < n; ++j) {
+          auto& gi = g[z(i)];
+          auto& gj = g[z(j)];
+          double alpha = 0.0, beta = 0.0;
+          cplx gamma{0.0, 0.0};
+          for (int r = 0; r < m; ++r) {
+            alpha += std::norm(gi[z(r)]);
+            beta += std::norm(gj[z(r)]);
+            gamma += std::conj(gi[z(r)]) * gj[z(r)];
+          }
+          const double ag = std::abs(gamma);
+          if (ag <= 1e-14 * std::sqrt(alpha * beta) || ag == 0.0) continue;
+          converged = false;
+          const cplx phase = gamma / ag;
+          const double zeta = (beta - alpha) / (2.0 * ag);
+          const double t = (zeta >= 0 ? 1.0 : -1.0) /
+                           (std::abs(zeta) + std::sqrt(1.0 + zeta * zeta));
+          const double c = 1.0 / std::sqrt(1.0 + t * t);
+          const double sn = c * t;
+          for (int r = 0; r < m; ++r) {
+            const cplx x = gi[z(r)];
+            const cplx y = gj[z(r)] * std::conj(phase);
+            gi[z(r)] = c * x - sn * y;
+            gj[z(r)] = sn * x + c * y;
+          }
+          auto& vi = v[z(i)];
+          auto& vj = v[z(j)];
+          for (int r = 0; r < n; ++r) {
+            const cplx x = vi[z(r)];
+            const cplx y = vj[z(r)] * std::conj(phase);
+            vi[z(r)] = c * x - sn * y;
+            vj[z(r)] = sn * x + c * y;
+          }
+        }
+      }
+      if (converged) break;
+    }
+    std::vector<int> order(z(n));
+    std::iota(order.begin(), order.end(), 0);
+    std::vector<double> norms(z(n));
+    for (int j = 0; j < n; ++j) {
+      double nn = 0.0;
+      for (int r = 0; r < m; ++r) nn += std::norm(g[z(j)][z(r)]);
+      norms[z(j)] = std::sqrt(nn);
+    }
+    std::sort(order.begin(), order.end(),
+              [&](int x, int y) { return norms[z(x)] > norms[z(y)]; });
+    const int k = std::min(m, n);
+    u.assign(z(m) * z(k), cplx{});
+    s.assign(z(k), 0.0);
+    vdag.assign(z(k) * z(n), cplx{});
+    for (int kk = 0; kk < k; ++kk) {
+      const int j = order[z(kk)];
+      const double sv = norms[z(j)];
+      s[z(kk)] = sv;
+      if (sv > 0.0) {
+        for (int r = 0; r < m; ++r) u[z(r) * z(k) + z(kk)] = g[z(j)][z(r)] / sv;
+      }
+      for (int r = 0; r < n; ++r) vdag[z(kk) * z(n) + z(r)] = std::conj(v[z(j)][z(r)]);
+    }
+  }
+
+  static void apply_2q_adjacent(MpsSimulator& mps, const std::array<std::array<cplx, 4>, 4>& u,
+                                int low, bool first_is_low) {
+    auto z = [](int i) { return static_cast<std::size_t>(i); };
+    MpsSimulator::Site& a = mps.sites_[z(low)];
+    MpsSimulator::Site& b = mps.sites_[z(low) + 1];
+    const int cl = a.chi_l, cm = a.chi_r, cr = b.chi_r;
+    auto at = [&](int l, int pa, int pb, int r) {
+      return ((z(l) * 2 + z(pa)) * 2 + z(pb)) * z(cr) + z(r);
+    };
+    std::vector<cplx> theta(z(cl) * 4 * z(cr));
+    for (int l = 0; l < cl; ++l)
+      for (int pa = 0; pa < 2; ++pa)
+        for (int m = 0; m < cm; ++m) {
+          const cplx av = a.data[(z(l) * 2 + z(pa)) * z(cm) + z(m)];
+          if (av == cplx{}) continue;
+          for (int pb = 0; pb < 2; ++pb)
+            for (int r = 0; r < cr; ++r)
+              theta[at(l, pa, pb, r)] += av * b.data[(z(m) * 2 + z(pb)) * z(cr) + z(r)];
+        }
+    std::vector<cplx> theta2(theta.size());
+    for (int l = 0; l < cl; ++l)
+      for (int r = 0; r < cr; ++r)
+        for (int pa = 0; pa < 2; ++pa)
+          for (int pb = 0; pb < 2; ++pb) {
+            const int row = first_is_low ? pb * 2 + pa : pa * 2 + pb;
+            cplx acc{};
+            for (int qa = 0; qa < 2; ++qa)
+              for (int qb = 0; qb < 2; ++qb) {
+                const int col = first_is_low ? qb * 2 + qa : qa * 2 + qb;
+                acc += u[z(row)][z(col)] * theta[at(l, qa, qb, r)];
+              }
+            theta2[at(l, pa, pb, r)] = acc;
+          }
+    const int m_rows = cl * 2, n_cols = 2 * cr;
+    std::vector<cplx> mat(z(m_rows) * z(n_cols));
+    for (int l = 0; l < cl; ++l)
+      for (int pa = 0; pa < 2; ++pa)
+        for (int pb = 0; pb < 2; ++pb)
+          for (int r = 0; r < cr; ++r)
+            mat[z(l * 2 + pa) * z(n_cols) + z(pb * cr + r)] = theta2[at(l, pa, pb, r)];
+    std::vector<cplx> su, svdag;
+    std::vector<double> ss;
+    svd(mat, m_rows, n_cols, su, ss, svdag);
+    const int k = std::min(m_rows, n_cols);
+    int keep = 0;
+    for (int i = 0; i < k; ++i)
+      if (ss[z(i)] > mps.trunc_tol_ * ss[0] && keep < mps.max_bond_) ++keep;
+    keep = std::max(keep, 1);
+    double kept_w = 0.0, all_w = 0.0;
+    for (int i = 0; i < k; ++i) {
+      all_w += ss[z(i)] * ss[z(i)];
+      if (i < keep) kept_w += ss[z(i)] * ss[z(i)];
+    }
+    mps.truncated_weight_ += all_w - kept_w;
+    const double rescale = kept_w > 0.0 ? std::sqrt(all_w / kept_w) : 1.0;
+    a.chi_r = keep;
+    a.data.assign(z(cl) * 2 * z(keep), cplx{});
+    for (int row = 0; row < m_rows; ++row)
+      for (int kk = 0; kk < keep; ++kk)
+        a.data[z(row) * z(keep) + z(kk)] = su[z(row) * z(k) + z(kk)];
+    b.chi_l = keep;
+    b.data.assign(z(keep) * 2 * z(cr), cplx{});
+    for (int kk = 0; kk < keep; ++kk)
+      for (int pb = 0; pb < 2; ++pb)
+        for (int r = 0; r < cr; ++r)
+          b.data[(z(kk) * 2 + z(pb)) * z(cr) + z(r)] =
+              ss[z(kk)] * rescale * svdag[z(kk) * z(n_cols) + z(pb * cr + r)];
+  }
+
+  /// Give sites (low, low+1) of `mps` bonds (cl, cm, cr) and seeded random
+  /// entries; `zero_every` > 0 zeroes every such entry of A and every such
+  /// right-bond column of B (exact zeros: skipped products, zero columns).
+  static void set_pair(MpsSimulator& mps, int cl, int cm, int cr, std::uint64_t seed,
+                       int zero_every) {
+    Rng rng(seed);
+    MpsSimulator::Site& a = mps.sites_[0];
+    MpsSimulator::Site& b = mps.sites_[1];
+    a.chi_l = cl;
+    a.chi_r = cm;
+    b.chi_l = cm;
+    b.chi_r = cr;
+    a.data.resize(static_cast<std::size_t>(cl) * 2 * static_cast<std::size_t>(cm));
+    b.data.resize(static_cast<std::size_t>(cm) * 2 * static_cast<std::size_t>(cr));
+    for (std::size_t i = 0; i < a.data.size(); ++i)
+      a.data[i] = (zero_every > 0 && i % static_cast<std::size_t>(zero_every) == 0)
+                      ? cplx{}
+                      : cplx{rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+    for (std::size_t i = 0; i < b.data.size(); ++i) {
+      const std::size_t r = i % static_cast<std::size_t>(cr);
+      b.data[i] = (zero_every > 0 && r % static_cast<std::size_t>(zero_every) == 0)
+                      ? cplx{}
+                      : cplx{rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+    }
+  }
+
+  static ::testing::AssertionResult same_pair(const MpsSimulator& x, const MpsSimulator& y) {
+    for (std::size_t q = 0; q < 2; ++q) {
+      const MpsSimulator::Site& s = x.sites_[q];
+      const MpsSimulator::Site& t = y.sites_[q];
+      if (s.chi_l != t.chi_l || s.chi_r != t.chi_r || s.data.size() != t.data.size())
+        return ::testing::AssertionFailure()
+               << "site " << q << " shape (" << s.chi_l << "," << s.chi_r << ") vs ("
+               << t.chi_l << "," << t.chi_r << ")";
+      for (std::size_t i = 0; i < s.data.size(); ++i)
+        if (std::memcmp(&s.data[i], &t.data[i], sizeof(cplx)) != 0)
+          return ::testing::AssertionFailure() << "site " << q << " entry " << i << ": "
+                                               << s.data[i] << " vs " << t.data[i];
+    }
+    const double wx = x.truncation_weight(), wy = y.truncation_weight();
+    if (std::memcmp(&wx, &wy, sizeof wx) != 0)
+      return ::testing::AssertionFailure() << "truncation weight " << wx << " vs " << wy;
+    return ::testing::AssertionSuccess();
+  }
+
+  static void run(MpsSimulator& fast, MpsSimulator& slow,
+                  const std::array<std::array<cplx, 4>, 4>& u, bool first_is_low) {
+    fast.apply_2q_adjacent(u, 0, first_is_low);
+    apply_2q_adjacent(slow, u, 0, first_is_low);
+  }
+};
+
+namespace {
+
+TEST(Mps, TwoSiteUpdateMatchesComplexOracleBitForBit) {
+  Rng gate_rng(17);
+  std::array<std::array<cplx, 4>, 4> random_gate{};
+  for (auto& row : random_gate)
+    for (cplx& x : row) x = cplx{gate_rng.uniform(-1.0, 1.0), gate_rng.uniform(-1.0, 1.0)};
+  const std::array<std::array<cplx, 4>, 4> gates[] = {
+      random_gate, gate_matrix_2q(GateKind::CX), gate_matrix_2q(GateKind::SWAP)};
+  struct Shape {
+    int cl, cm, cr, zero_every;
+  };
+  // Largest first, so later, smaller updates run on scratch a larger one
+  // grew.  Bonds span 1..64; cm below min(2 cl, 2 cr) makes theta
+  // rank-deficient (singular values at round-off, cut by the tolerance);
+  // zero_every plants exact zero entries in A and zero columns in B.
+  const Shape shapes[] = {{16, 16, 16, 0}, {64, 4, 1, 0}, {1, 4, 16, 0}, {12, 4, 12, 0},
+                          {2, 64, 2, 0},   {16, 32, 16, 5}, {8, 2, 8, 0}, {5, 3, 7, 0},
+                          {4, 4, 4, 3},    {2, 4, 2, 0},  {1, 2, 1, 0},  {1, 1, 1, 0},
+                          {3, 1, 2, 2}};
+  for (const int max_bond : {64, 3}) {  // 3 truncates every full-rank update
+    MpsSimulator fast(2, max_bond), slow(2, max_bond);
+    std::uint64_t seed = 100;
+    for (const Shape& sh : shapes) {
+      // Every gate and operand order on the small shapes; one on the large.
+      const std::size_t ngates = sh.cl * sh.cr > 64 ? 1 : std::size(gates);
+      for (std::size_t gi = 0; gi < ngates; ++gi) {
+        for (const bool first_is_low : {true, false}) {
+          SCOPED_TRACE("max_bond " + std::to_string(max_bond) + " bonds " +
+                       std::to_string(sh.cl) + "," + std::to_string(sh.cm) + "," +
+                       std::to_string(sh.cr) + " gate " + std::to_string(gi) +
+                       (first_is_low ? " low" : " high"));
+          ++seed;
+          MpsTwoSiteOracle::set_pair(fast, sh.cl, sh.cm, sh.cr, seed, sh.zero_every);
+          MpsTwoSiteOracle::set_pair(slow, sh.cl, sh.cm, sh.cr, seed, sh.zero_every);
+          MpsTwoSiteOracle::run(fast, slow, gates[gi], first_is_low);
+          ASSERT_TRUE(MpsTwoSiteOracle::same_pair(fast, slow));
+          // A second update on the result (a truncated bond, a gauge the
+          // SVD produced) chains the scratch reuse.
+          MpsTwoSiteOracle::run(fast, slow, gates[(gi + 1) % std::size(gates)], !first_is_low);
+          ASSERT_TRUE(MpsTwoSiteOracle::same_pair(fast, slow));
+        }
+      }
+    }
+    if (max_bond == 3) {
+      EXPECT_GT(fast.truncation_weight(), 0.0);
+    }
+  }
 }
 
 TEST(Mps, MatchesFusedEngineWithinTruncationWeight) {

@@ -5,10 +5,13 @@
 
 #include <cmath>
 #include <cstring>
+#include <iterator>
 
 #include "common/error.h"
 #include "common/fault.h"
 #include "common/rng.h"
+#include "core/pipeline.h"
+#include "data/reference.h"
 #include "data/registry.h"
 #include "lattice/solver.h"
 #include "obs/metrics.h"
@@ -153,6 +156,47 @@ TEST(Vqe, GoldenBitsMatchParent) {
     EXPECT_EQ(r.stage2_distinct, g.stage2_distinct);
     EXPECT_EQ(r.energy_cache_hits, g.energy_cache_hits);
     EXPECT_EQ(digest(r.history), g.history);
+  }
+}
+
+TEST(Vqe, GoldenWorkCountsAtBenchProfile) {
+  // The work a bench-profile VQE run does on each eval6 entry, counted by
+  // the engines and the driver.  Work is deterministic where time is not:
+  // a change that claims to be results-neutral and to do the same work
+  // leaves every count here unchanged; one that changes a count updates
+  // this table and says why.
+  static const char* const kCounters[] = {
+      "vqe.stage1.evals",           "vqe.shots",
+      "vqe.trajectories.simulated", "vqe.trajectories.reused",
+      "vqe.refine.energies",        "mps.svds",
+      "mps.sample.steps",           "mps.sample.expansions",
+      "kernel.fused.gates_in",      "kernel.fused.ops",
+  };
+  constexpr std::size_t kN = std::size(kCounters);
+  struct Golden {
+    const char* id;
+    std::uint64_t counts[kN];
+  };
+  const Golden cases[] = {
+      {"6p86", {80, 26480, 104, 60, 855, 0, 0, 0, 8154, 2962}},
+      {"3eax", {70, 23920, 79, 65, 16, 0, 0, 0, 2382, 810}},
+      {"1e2l", {92, 29552, 122, 66, 2629, 0, 0, 0, 11517, 4331}},
+      {"2qbs", {116, 35696, 169, 67, 11536, 5070, 571136, 81110, 0, 0}},
+      {"1yc4", {140, 41840, 206, 78, 28278, 7828, 836800, 129185, 0, 0}},
+      {"4jpy", {152, 44912, 226, 82, 47189, 9492, 988064, 238347, 0, 0}},
+  };
+  for (const Golden& g : cases) {
+    SCOPED_TRACE(g.id);
+    const DatasetEntry& entry = entry_by_id(g.id);
+    // The options Pipeline::predict(entry, Method::QDock) runs with.
+    VqeOptions o = PipelineOptions::bench_profile().vqe;
+    o.seed = seed_combine(fnv1a(entry.pdb_id), fnv1a("vqe"));
+    o.run_id = entry.pdb_id;
+    std::uint64_t before[kN];
+    for (std::size_t k = 0; k < kN; ++k) before[k] = obs::counter(kCounters[k]).value();
+    VqeDriver(entry_hamiltonian(entry), o).run();
+    for (std::size_t k = 0; k < kN; ++k)
+      EXPECT_EQ(obs::counter(kCounters[k]).value() - before[k], g.counts[k]) << kCounters[k];
   }
 }
 
