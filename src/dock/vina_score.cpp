@@ -6,6 +6,7 @@
 
 #include "common/check.h"
 #include "common/error.h"
+#include "dock/vina_simd.h"
 
 namespace qdb {
 
@@ -154,58 +155,61 @@ bool same_bits(const Vec3& a, const Vec3& b) {
 
 }  // namespace
 
-/// The pair-sum kernel's one body; kRecord = false is the plain sum.  Each
-/// neighbour run is taken in chunks of kChunk slots, in two passes: the
-/// first computes every slot's d2 and keeps the in-cutoff (slot, d2) pairs
-/// in walk order with no branch on the test, the second computes the terms
-/// of the kept pairs only.  The pairs, their order and their arithmetic are
-/// those of a one-pass loop that skips `d2 > cutoff2`: d2 is never NaN
-/// (finite `p`, finite atoms), so `d2 <= cutoff2` keeps exactly its pairs.
-template <bool kRecord>
-double accumulate_pairs(const NeighbourIndex& grid, const Vec3& p, const LigandAtom& atom,
-                        double total, const VinaWeights& w, std::vector<double>* terms) {
-  constexpr std::uint32_t kChunk = 64;
-  if (!all_finite(p)) return std::numeric_limits<double>::quiet_NaN();
-  const NeighbourIndex::Run* runs = grid.runs_at(p);
-  if (runs == nullptr) return total;
-  const double cutoff2 = grid.cutoff_ * grid.cutoff_;
-  const double lr = vdw_radius(atom.element);
-  const std::uint8_t hydrophobic = atom.hydrophobic ? NeighbourIndex::kHydrophobic : std::uint8_t{0};
-  const std::uint8_t hbond = static_cast<std::uint8_t>(
-      (atom.donor ? NeighbourIndex::kAcceptor : 0) | (atom.acceptor ? NeighbourIndex::kDonor : 0));
-  const double* rx = grid.x_.data();
-  const double* ry = grid.y_.data();
-  const double* rz = grid.z_.data();
-  const double* rr = grid.radius_.data();
-  const std::uint8_t* rf = grid.flags_.data();
+PairWalk::PairWalk(const NeighbourIndex& grid, const Vec3& point, const LigandAtom& atom)
+    : p(point),
+      runs(grid.runs_at(point)),
+      x(grid.x_.data()),
+      y(grid.y_.data()),
+      z(grid.z_.data()),
+      radius(grid.radius_.data()),
+      flags(grid.flags_.data()),
+      cutoff2(grid.cutoff_ * grid.cutoff_),
+      lr(vdw_radius(atom.element)),
+      hydrophobic(atom.hydrophobic ? NeighbourIndex::kHydrophobic : std::uint8_t{0}),
+      hbond(static_cast<std::uint8_t>((atom.donor ? NeighbourIndex::kAcceptor : 0) |
+                                      (atom.acceptor ? NeighbourIndex::kDonor : 0))) {}
 
+namespace {
+
+/// The scalar body; kRecord = false is the plain sum.  Each run is taken
+/// in chunks of kChunk slots, in two passes: the first computes every
+/// slot's d2 and keeps the in-cutoff (slot, d2) pairs in walk order with no
+/// branch on the test, the second computes the terms of the kept pairs
+/// only.  The pairs, their order and their arithmetic are those of a
+/// one-pass loop that skips `d2 > cutoff2`: d2 is never NaN (finite `p`,
+/// finite atoms), so `d2 <= cutoff2` keeps exactly its pairs.
+template <bool kRecord>
+double scalar_pairs(const PairWalk& walk, double total, const VinaWeights& w,
+                    std::vector<double>* terms) {
+  constexpr std::uint32_t kChunk = 64;
+  const Vec3& p = walk.p;
   std::uint32_t kept[kChunk];
   double kept_d2[kChunk];
-  for (int r = 0; r < NeighbourIndex::kRuns; ++r) {
-    for (std::uint32_t begin = runs[r].begin; begin < runs[r].end; begin += kChunk) {
-      const std::uint32_t end = std::min(runs[r].end, begin + kChunk);
+  for (int r = 0; r < PairWalk::kRuns; ++r) {
+    for (std::uint32_t begin = walk.runs[r].begin; begin < walk.runs[r].end; begin += kChunk) {
+      const std::uint32_t end = std::min(walk.runs[r].end, begin + kChunk);
       std::uint32_t n = 0;
       for (std::uint32_t k = begin; k < end; ++k) {
         // The arithmetic of p.distance2(atom position), term for term.
-        const double dx = p.x - rx[k];
-        const double dy = p.y - ry[k];
-        const double dz = p.z - rz[k];
+        const double dx = p.x - walk.x[k];
+        const double dy = p.y - walk.y[k];
+        const double dz = p.z - walk.z[k];
         const double d2 = dx * dx + dy * dy + dz * dz;
         kept[n] = k;
         kept_d2[n] = d2;
-        n += d2 <= cutoff2 ? 1u : 0u;
+        n += d2 <= walk.cutoff2 ? 1u : 0u;
       }
       for (std::uint32_t i = 0; i < n; ++i) {
         const std::uint32_t k = kept[i];
         const double d = std::sqrt(kept_d2[i]);
-        const double ds = d - lr - rr[k];
+        const double ds = d - walk.lr - walk.radius[k];
 
         double e = w.gauss1 * std::exp(-(ds / 0.5) * (ds / 0.5));
         const double g2 = (ds - 3.0) / 2.0;
         e += w.gauss2 * std::exp(-g2 * g2);
         if (ds < 0.0) e += w.repulsion * ds * ds;
-        if ((rf[k] & hydrophobic) != 0) e += w.hydrophobic * slope_step(ds, 0.5, 1.5);
-        if ((rf[k] & hbond) != 0) e += w.hbond * slope_step(ds, -0.7, 0.0);
+        if ((walk.flags[k] & walk.hydrophobic) != 0) e += w.hydrophobic * slope_step(ds, 0.5, 1.5);
+        if ((walk.flags[k] & walk.hbond) != 0) e += w.hbond * slope_step(ds, -0.7, 0.0);
         if constexpr (kRecord) terms->push_back(e);
         total += e;
       }
@@ -214,14 +218,35 @@ double accumulate_pairs(const NeighbourIndex& grid, const Vec3& p, const LigandA
   return total;
 }
 
+/// The pair kernel: the NaN and outside-the-box cases, then the AVX2 body
+/// where `simd` holds and the scalar body otherwise.
+template <bool kRecord>
+double accumulate_pairs(const NeighbourIndex& grid, const Vec3& p, const LigandAtom& atom,
+                        double total, const VinaWeights& w, std::vector<double>* terms,
+                        bool simd) {
+  if (!all_finite(p)) return std::numeric_limits<double>::quiet_NaN();
+  const PairWalk walk(grid, p, atom);
+  if (walk.runs == nullptr) return total;
+  if (simd) return vina_simd::accumulate(walk, total, w, terms);
+  return scalar_pairs<kRecord>(walk, total, w, terms);
+}
+
+}  // namespace
+
 double accumulate_point_energy(const NeighbourIndex& grid, const Vec3& p, const LigandAtom& atom,
                                double total, const VinaWeights& w) {
-  return accumulate_pairs<false>(grid, p, atom, total, w, nullptr);
+  return accumulate_pairs<false>(grid, p, atom, total, w, nullptr, vina_simd::active());
 }
 
 double accumulate_point_energy(const NeighbourIndex& grid, const Vec3& p, const LigandAtom& atom,
                                double total, const VinaWeights& w, std::vector<double>& terms) {
-  return accumulate_pairs<true>(grid, p, atom, total, w, &terms);
+  return accumulate_pairs<true>(grid, p, atom, total, w, &terms, vina_simd::active());
+}
+
+double accumulate_point_energy_scalar(const NeighbourIndex& grid, const Vec3& p,
+                                      const LigandAtom& atom, double total,
+                                      const VinaWeights& w, std::vector<double>& terms) {
+  return accumulate_pairs<true>(grid, p, atom, total, w, &terms, false);
 }
 
 double intermolecular_energy(const NeighbourIndex& grid, const Ligand& ligand,

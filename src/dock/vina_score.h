@@ -86,10 +86,7 @@ class NeighbourIndex {
   }
 
  private:
-  template <bool kRecord>
-  friend double accumulate_pairs(const NeighbourIndex& grid, const Vec3& p,
-                                 const LigandAtom& atom, double total, const VinaWeights& w,
-                                 std::vector<double>* terms);
+  friend struct PairWalk;  // the pair kernel's view of the arrays (dock/vina_simd.h)
 
   /// Half-open range of sorted atom slots.
   struct Run {
@@ -133,9 +130,11 @@ class NeighbourIndex {
 /// NaN for a non-finite `p`; `total` unchanged for a point outside the box.
 /// intermolecular_energy and the screening grid's node fill both call it,
 /// so a grid node equals a one-atom intermolecular_energy bit for bit.
-/// It filters each run by the cutoff in a first pass and computes terms
-/// for the kept pairs in a second (DESIGN.md §3.2); the pairs, their order
-/// and every bit are those of a one-pass loop that skips the rest.
+/// It filters the runs by the cutoff in a first pass, computes the terms of
+/// the kept pairs in a second and adds them in walk order in a third, on
+/// AVX2+FMA where the host allows and in scalar code otherwise
+/// (DESIGN.md §3.2); the pairs, their order and every bit are those of a
+/// one-pass scalar loop that skips the rest.
 double accumulate_point_energy(const NeighbourIndex& grid, const Vec3& p, const LigandAtom& atom,
                                double total, const VinaWeights& w = VinaWeights{});
 

@@ -40,6 +40,16 @@ const Field* find_field(Fields fields, std::string_view key) {
   return it == fields.end() ? nullptr : &*it;
 }
 
+/// Whether `value` is one of the '|'-separated `choices`.
+bool one_of(std::string_view choices, std::string_view value) {
+  for (std::size_t begin = 0;;) {
+    const std::size_t end = choices.find('|', begin);
+    if (choices.substr(begin, end - begin) == value) return true;
+    if (end == std::string_view::npos) return false;
+    begin = end + 1;
+  }
+}
+
 bool valid(const Field& f, const Json& v) {
   switch (f.type) {
     case FieldType::Int: {
@@ -56,10 +66,7 @@ bool valid(const Field& f, const Json& v) {
     }
     case FieldType::Bool: return v.type() == Json::Type::Bool;
     case FieldType::String: return v.is_string();
-    case FieldType::OneOf:
-      return v.is_string() && v.as_string().find('|') == std::string::npos &&
-             ("|" + std::string(f.choices) + "|").find("|" + v.as_string() + "|") !=
-                 std::string::npos;
+    case FieldType::OneOf: return v.is_string() && one_of(f.choices, v.as_string());
     case FieldType::Array: return v.is_array();
     case FieldType::Object: return v.is_object();
   }

@@ -15,10 +15,12 @@
 #include "common/error.h"
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "core/pipeline.h"
 #include "data/reference.h"
 #include "dock/dock.h"
 #include "dock/ligand_gen.h"
 #include "dock/vina_score.h"
+#include "dock/vina_simd.h"
 #include "lattice/lattice.h"
 #include "lattice/solver.h"
 #include "obs/metrics.h"
@@ -539,6 +541,234 @@ TEST(VinaScore, TwoPassKernelMatchesOnePassOracleAtChunkAndCutoffEdges) {
   EXPECT_EQ(one.size(), 1u);
 }
 
+/// True where the build has the AVX2 body and the CPU has AVX2 and FMA.
+bool avx2_body_runs_here() {
+#if defined(QDB_NO_AVX2) || !(defined(__x86_64__) || defined(_M_X64))
+  return false;
+#else
+  return __builtin_cpu_supports("avx2") != 0 && __builtin_cpu_supports("fma") != 0;
+#endif
+}
+
+TEST(VinaSimd, ActiveOnAvx2FmaHost) {
+  // A silent fall back to the scalar body would cost time and pass every
+  // other test; on an AVX2+FMA host a build with the AVX2 body must use it.
+  if (!avx2_body_runs_here()) GTEST_SKIP() << "no AVX2 body or CPU without AVX2+FMA";
+  EXPECT_TRUE(vina_simd::active());
+}
+
+TEST(VinaSimd, ExpMatchesStdExpBitForBit) {
+  if (!avx2_body_runs_here()) GTEST_SKIP() << "no AVX2 body or CPU without AVX2+FMA";
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> args = {
+      0.0, -0.0, 0x1p-54, -0x1p-54, 0x1.fffffffffffffp-55, -0x1.fffffffffffffp-55,
+      0x1.0000000000001p-54, -0x1.0000000000001p-54, 0x1p-1074, -0x1p-1074, 0x1p-1022,
+      -0x1p-60, -1.0, -0.5, -90.0, 0.5, 1.0, 88.0, 511.99, -511.99,
+      std::nextafter(512.0, 0.0), std::nextafter(-512.0, 0.0), 512.0, -512.0, 700.0, -700.0,
+      -708.3, -708.4, -709.0, -720.0, -740.0, -744.44, -745.1, -745.13, -745.2, -746.0, -1000.0,
+      709.7, 709.78, 709.8, 710.0, 1000.0, inf, -inf, std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN()};
+  // Ten million seeded arguments over [-90, 0], the range the terms' exps
+  // take, in blocks of four lanes.
+  std::uint64_t state = fnv1a("exp4");
+  while (args.size() < 10'000'000 + 64) {
+    args.push_back(-90.0 * static_cast<double>(splitmix64(state) >> 11) * 0x1.0p-53);
+  }
+  while (args.size() % 4 != 0) args.push_back(-1.0);
+  std::size_t mismatches = 0;
+  double got[4];
+  for (std::size_t i = 0; i < args.size(); i += 4) {
+    vina_simd::exp4(&args[i], got);
+    for (std::size_t l = 0; l < 4; ++l) {
+      if (bits(got[l]) != bits(std::exp(args[i + l])) && ++mismatches <= 10) {
+        ADD_FAILURE() << "exp(" << std::hexfloat << args[i + l] << ") = " << got[l]
+                      << ", std::exp gives " << std::exp(args[i + l]);
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+/// The distance along one axis at which a pair of vdW radii `lr`, `rr` has
+/// surface distance exactly `ds` in the kernel's arithmetic
+/// (sqrt(d * d) - lr - rr), or NaN if no double near ds + lr + rr gives it.
+double distance_for_ds(double ds, double lr, double rr) {
+  double d = ds + lr + rr;
+  for (int i = 0; i < 64; ++i) d = std::nextafter(d, 0.0);
+  for (int i = 0; i < 128; ++i, d = std::nextafter(d, 100.0)) {
+    if (bits(std::sqrt(d * d) - lr - rr) == bits(ds)) return d;
+  }
+  return std::numeric_limits<double>::quiet_NaN();
+}
+
+/// Every chemistry a ligand atom can have: three elements, eight
+/// (hydrophobic, donor, acceptor) combinations.
+std::vector<LigandAtom> all_probe_chemistries() {
+  std::vector<LigandAtom> out;
+  for (char element : {'C', 'N', 'O'}) {
+    for (int flags = 0; flags < 8; ++flags) {
+      LigandAtom a;
+      a.element = element;
+      a.hydrophobic = (flags & 1) != 0;
+      a.donor = (flags & 2) != 0;
+      a.acceptor = (flags & 4) != 0;
+      out.push_back(a);
+    }
+  }
+  return out;
+}
+
+/// The dispatching kernel (the AVX2 body here) and the scalar body against
+/// the one-pass oracle at `p`: equal terms in walk order and equal sums,
+/// by bit pattern.
+void expect_bodies_match_oracle(const NeighbourIndex& flat, const HashedNeighbourIndex& hashed,
+                                const LigandAtom& atom, const Vec3& p) {
+  const double incoming = -0.125;
+  const std::vector<double> expected = hashed.terms(atom, p);
+  double sum = incoming;
+  for (double e : expected) sum += e;
+  std::vector<double> simd, scalar;
+  EXPECT_EQ(bits(accumulate_point_energy(flat, p, atom, incoming, VinaWeights{}, simd)), bits(sum));
+  EXPECT_EQ(bits(accumulate_point_energy_scalar(flat, p, atom, incoming, VinaWeights{}, scalar)),
+            bits(sum));
+  EXPECT_EQ(bits(accumulate_point_energy(flat, p, atom, incoming)), bits(sum));
+  EXPECT_EQ(bits_of(simd), bits_of(expected));
+  EXPECT_EQ(bits_of(scalar), bits_of(expected));
+}
+
+TEST(VinaScore, SimdKernelMatchesOnePassOracleAtBatchRunAndSlopeEdges) {
+  // Receptor atoms of every flag combination (kinds cycle through all eight
+  // (hydrophobic, donor, acceptor) sets and all four elements).
+  std::vector<ReceptorAtom> atoms;
+  auto add = [&](const Vec3& pos, char element = 0) {
+    ReceptorAtom a;
+    a.pos = pos;
+    const std::size_t kind = atoms.size();
+    a.element = element != 0 ? element : "CNOS"[kind % 4];
+    a.hydrophobic = (kind & 1) != 0;
+    a.donor = (kind & 2) != 0;
+    a.acceptor = (kind & 4) != 0;
+    atoms.push_back(a);
+  };
+  std::uint64_t state = fnv1a("simd receptor");
+  auto uniform = [&]() { return static_cast<double>(splitmix64(state) >> 11) * 0x1.0p-53; };
+
+  // Cells are [0, 8), [8, 16), [16, 24) per axis; the centre (12, 12, 12)
+  // walks nine runs, one (x, y) column of cells each.  The runs are 1 (the
+  // anchor at the origin), 0, 2, 3, 4, 5, 6, 7 and 333 atoms long: every
+  // length below two vectors and every length mod 4.  The 333 atoms of
+  // column (2, 2) all lie within 7.2 A of the centre, more pairs than two
+  // batches hold, so batches flush in the middle of a run.
+  const Vec3 centre{12.0, 12.0, 12.0};
+  add({0.0, 0.0, 0.0});
+  const int sizes[9] = {0, 0, 2, 3, 4, 5, 6, 7, 333};
+  for (int c = 0; c < 9; ++c) {
+    const double x0 = 8.0 * (c / 3), y0 = 8.0 * (c % 3);
+    for (int i = 0; i < sizes[c]; ++i) {
+      if (c == 8) {
+        add({16.05 + 0.9 * uniform(), 16.05 + 0.9 * uniform(), 11.0 + 2.0 * uniform()});
+      } else {
+        add({x0 + 7.9 * uniform(), y0 + 7.9 * uniform(), 23.9 * uniform()});
+      }
+    }
+  }
+  ASSERT_GT(sizes[8], vina_simd::kBatchPairs * 2);
+  const NeighbourIndex flat(atoms, 8.0);
+  const HashedNeighbourIndex hashed(atoms);
+  int visited = 0;
+  flat.for_neighbors(centre, [&](int) { ++visited; });
+  EXPECT_EQ(visited, static_cast<int>(atoms.size()));
+  for (const LigandAtom& atom : all_probe_chemistries()) {
+    SCOPED_TRACE(std::string(1, atom.element) + " flags " +
+                 std::to_string(atom.hydrophobic + 2 * atom.donor + 4 * atom.acceptor));
+    ASSERT_GT(hashed.terms(atom, centre).size(),
+              static_cast<std::size_t>(2 * vina_simd::kBatchPairs));
+    expect_bodies_match_oracle(flat, hashed, atom, centre);
+    // Seeded points over the box grown by 8 A: empty walks, walks with no
+    // pair in the cutoff, and every batch split in between.
+    for (int n = 0; n < 200; ++n) {
+      const Vec3 p{-8.0 + uniform() * 40.0, -8.0 + uniform() * 40.0, -8.0 + uniform() * 40.0};
+      expect_bodies_match_oracle(flat, hashed, atom, p);
+    }
+  }
+
+  // Surface distances exactly at the slopes' knees (0.5, 1.5; -0.7, 0),
+  // at the gauss2 centre (3) and at 0, where an exp's argument is -0, and
+  // at the distances one ulp either side of each, against receptor atoms of
+  // every flag combination on the x axis from a ligand atom at the origin.
+  for (const LigandAtom& atom : all_probe_chemistries()) {
+    SCOPED_TRACE(std::string(1, atom.element) + " flags " +
+                 std::to_string(atom.hydrophobic + 2 * atom.donor + 4 * atom.acceptor));
+    const double lr = vdw_radius(atom.element);
+    atoms.clear();
+    for (double knee : {0.5, 1.5, -0.7, 0.0, 3.0}) {
+      // Each knee is exact for some receptor elements only.
+      int hits = 0;
+      for (char element : {'C', 'N', 'O', 'S'}) {
+        const double rr = vdw_radius(element);
+        const double d = distance_for_ds(knee, lr, rr);
+        if (std::isnan(d)) continue;
+        ++hits;
+        // The nearest distances whose surface distance differs from the
+        // knee: one ulp of ds either side, where ds is that fine.
+        auto ds_at = [&](double at) { return std::sqrt(at * at) - lr - rr; };
+        double below = std::nextafter(d, 0.0), above = std::nextafter(d, 100.0);
+        while (ds_at(below) == knee) below = std::nextafter(below, 0.0);
+        while (ds_at(above) == knee) above = std::nextafter(above, 100.0);
+        ASSERT_LT(ds_at(below), knee);
+        ASSERT_GT(ds_at(above), knee);
+        for (double at : {below, d, above}) {
+          for (int kind = 0; kind < 8; ++kind) add({-at, 0.0, 0.0}, element);
+        }
+      }
+      ASSERT_GT(hits, 0) << knee;
+    }
+    const NeighbourIndex line(atoms, 8.0);
+    const HashedNeighbourIndex line_hashed(atoms);
+    ASSERT_EQ(line_hashed.terms(atom, {0.0, 0.0, 0.0}).size(), atoms.size());
+    expect_bodies_match_oracle(line, line_hashed, atom, {0.0, 0.0, 0.0});
+  }
+}
+
+TEST(VinaSimd, MatchesScalarBodyTermByTermOnEval6Receptors) {
+  if (!avx2_body_runs_here()) GTEST_SKIP() << "no AVX2 body or CPU without AVX2+FMA";
+  for (const char* id : {"6p86", "3eax", "1e2l", "2qbs", "1yc4", "4jpy"}) {
+    SCOPED_TRACE(id);
+    const std::vector<ReceptorAtom> typed = type_receptor(reference_structure(entry_by_id(id)));
+    const NeighbourIndex grid(typed, 8.0);
+    const Ligand ligand = generate_ligand(id);
+    Vec3 lo = typed[0].pos, hi = typed[0].pos;
+    for (const ReceptorAtom& a : typed) {
+      lo = {std::min(lo.x, a.pos.x), std::min(lo.y, a.pos.y), std::min(lo.z, a.pos.z)};
+      hi = {std::max(hi.x, a.pos.x), std::max(hi.y, a.pos.y), std::max(hi.z, a.pos.z)};
+    }
+    std::uint64_t state = fnv1a(id);
+    auto uniform = [&]() { return static_cast<double>(splitmix64(state) >> 11) * 0x1.0p-53; };
+    std::size_t pairs = 0;
+    // Seeded poses over the receptor box grown by 4 A on each side.
+    for (int n = 0; n < 300; ++n) {
+      Pose pose = ligand.neutral_pose();
+      pose.translation = {lo.x - 4.0 + uniform() * (hi.x - lo.x + 8.0),
+                          lo.y - 4.0 + uniform() * (hi.y - lo.y + 8.0),
+                          lo.z - 4.0 + uniform() * (hi.z - lo.z + 8.0)};
+      pose.orientation = Quat::random(uniform(), uniform(), uniform());
+      for (double& t : pose.torsions) t = (2.0 * uniform() - 1.0) * kPi;
+      const std::vector<Vec3> coords = ligand.conformation(pose);
+      for (std::size_t li = 0; li < coords.size(); ++li) {
+        const LigandAtom& la = ligand.atoms()[li];
+        std::vector<double> simd, scalar;
+        const double a = accumulate_point_energy(grid, coords[li], la, 1.0, VinaWeights{}, simd);
+        const double b =
+            accumulate_point_energy_scalar(grid, coords[li], la, 1.0, VinaWeights{}, scalar);
+        ASSERT_EQ(bits(a), bits(b)) << "pose " << n << " atom " << li;
+        ASSERT_EQ(bits_of(simd), bits_of(scalar)) << "pose " << n << " atom " << li;
+        pairs += simd.size();
+      }
+    }
+    EXPECT_GT(pairs, 10'000u);
+  }
+}
+
 /// `base` with a hydrogen after every third heavy atom, riding the same
 /// torsions as its heavy atom, so hydrogens sit between scored atoms.
 Ligand with_hydrogens(const Ligand& base) {
@@ -550,7 +780,8 @@ Ligand with_hydrogens(const Ligand& base) {
     atoms.push_back(base.atoms()[i]);
     if (i % 3 != 2) continue;
     LigandAtom h;
-    h.name = "H" + std::to_string(i);
+    h.name = "H";
+    h.name += std::to_string(i);
     h.element = 'H';
     h.local_pos = base.atoms()[i].local_pos + Vec3{1.0, 0.0, 0.0};
     riders.emplace_back(static_cast<int>(atoms.size()), new_index.back());
@@ -871,6 +1102,39 @@ TEST(Dock, WorkCountersDoNotDependOnThreads) {
   // At least one sweep per local optimisation: the start's, each step's and
   // the final refine.
   EXPECT_GE(parallel[5], parallel[3] + 2u * static_cast<std::uint64_t>(params.num_runs));
+}
+
+TEST(Dock, GoldenWorkCountsAtBenchProfile) {
+  // The docking work of evaluate(QDock) on each eval6 entry at the
+  // benchmark's budgets: both docks (the imprint on the reference and the
+  // prediction's), counted by the scorer and the search.  Work is
+  // deterministic where time is not: a change that claims to be
+  // results-neutral and to do the same work leaves every count here
+  // unchanged; one that changes a count updates this table and says why.
+  static const char* const kCounters[] = {"dock.score_calls", "dock.pairs.fresh",
+                                          "dock.pairs.reused", "dock.mc_steps",
+                                          "dock.mc_accepted", "dock.polish_sweeps"};
+  struct Golden {
+    const char* id;
+    std::vector<std::uint64_t> counts;
+  };
+  const Golden cases[] = {
+      {"6p86", {146960, 21568016, 15756558, 1440, 1281, 6062}},
+      {"3eax", {109490, 14060505, 5809659, 1440, 1323, 6001}},
+      {"1e2l", {159162, 23740814, 22481455, 1440, 1278, 6065}},
+      {"2qbs", {172384, 21286576, 22597772, 1440, 1281, 6104}},
+      {"1yc4", {146312, 29518619, 21958780, 1440, 1232, 6035}},
+      {"4jpy", {157628, 24733552, 21734792, 1440, 1261, 6006}},
+  };
+  for (const Golden& g : cases) {
+    SCOPED_TRACE(g.id);
+    const Pipeline pipeline(PipelineOptions::bench_profile());  // cold caches, as eval6
+    const std::vector<std::uint64_t> work =
+        work_of([&] { pipeline.evaluate(entry_by_id(g.id), Method::QDock); });
+    for (std::size_t k = 0; k < std::size(kCounters); ++k) {
+      EXPECT_EQ(work[k], g.counts[k]) << kCounters[k];
+    }
+  }
 }
 
 TEST(Dock, MoreRunsNeverWorsenBest) {

@@ -147,6 +147,7 @@ TEST(Rules, SimdIntrinsicsFlaggedEverywhereIncludingKernelHome) {
   // checked-in allowlist entry — so moving intrinsics needs an explicit
   // allowlist change, not a silent path rename.
   EXPECT_EQ(of_rule(lint_source("src/quantum/kernels.cpp", bad), "simd-intrinsics").size(), 4u);
+  EXPECT_EQ(of_rule(lint_source("src/dock/vina_simd.cpp", bad), "simd-intrinsics").size(), 4u);
   // Identifier substrings and comments/strings are not hits.
   const std::string ok =
       "// _mm256_loadu_pd in a comment\n"
@@ -278,6 +279,27 @@ TEST(Allowlist, ParseApplyAndStaleDetectionRoundTrip) {
   EXPECT_TRUE(of_rule(kept, "omp-pragma").empty());
   ASSERT_EQ(unused.size(), 1u);
   EXPECT_EQ(unused[0].file, "src/gone.cpp");
+}
+
+TEST(Allowlist, CheckedInListSanctionsOnlyTheTwoSimdHomes) {
+  // Intrinsics pass in the two SIMD homes and nowhere else, not even next
+  // to the pair kernel's home in src/dock/.
+  std::ifstream allow_in(std::filesystem::path(QDB_SOURCE_DIR) / "tools" / "qdb_lint_allow.txt");
+  ASSERT_TRUE(allow_in.good());
+  std::ostringstream buf;
+  buf << allow_in.rdbuf();
+  const std::vector<AllowEntry> allow = parse_allowlist(buf.str());
+  const std::string bad = "#include <immintrin.h>\n__m256d v;\n";
+  for (const char* home : {"src/quantum/kernels.cpp", "src/dock/vina_simd.cpp"}) {
+    EXPECT_TRUE(apply_allowlist(lint_source(home, bad), allow, nullptr).empty()) << home;
+  }
+  for (const char* other : {"src/dock/vina_score.cpp", "src/dock/dock.cpp", "src/dock/vina_simd.h",
+                            "src/screen/grid.cpp"}) {
+    EXPECT_EQ(of_rule(apply_allowlist(lint_source(other, bad), allow, nullptr), "simd-intrinsics")
+                  .size(),
+              2u)
+        << other;
+  }
 }
 
 TEST(RepoGate, FixtureTreesAreSkippedAndTheRepoLintsClean) {

@@ -862,8 +862,10 @@ TEST(Chaos, MultiWorkerBatchConvergesByteIdenticalUnderTenPercentKills) {
   std::vector<std::thread> workers;
   for (int w = 0; w < 4; ++w) {
     workers.emplace_back([&, w] {
-      stats[static_cast<std::size_t>(w)] = run_worker(chaos_worker_options(
-          server.port(), "w" + std::to_string(w + 1), batch));
+      std::string id = "w";
+      id += std::to_string(w + 1);
+      stats[static_cast<std::size_t>(w)] =
+          run_worker(chaos_worker_options(server.port(), id, batch));
     });
   }
   for (std::thread& t : workers) t.join();

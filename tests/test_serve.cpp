@@ -136,7 +136,14 @@ TEST_F(ServeTest, RouterStatusMatrix) {
   EXPECT_EQ(server.handle(get_request("/entries/1yc4/nope.txt")).status, 404);
   EXPECT_EQ(server.handle(get_request("/entries?frobnicate=1")).status, 400);
   EXPECT_EQ(server.handle(get_request("/entries?min_qubits=banana")).status, 400);
-  EXPECT_EQ(server.handle(get_request("/entries?group=X")).status, 400);
+  // A choice matches one '|'-separated value whole: no prefix, no join.
+  for (const char* bad : {"/entries?group=X", "/entries?group=SM", "/entries?group=",
+                          "/entries?group=S%7CM", "/entries?group=%7CS"}) {
+    EXPECT_EQ(server.handle(get_request(bad)).status, 400) << bad;
+  }
+  for (const char* good : {"/entries?group=S", "/entries?group=M", "/entries?group=L"}) {
+    EXPECT_EQ(server.handle(get_request(good)).status, 200) << good;
+  }
   EXPECT_EQ(server.handle(get_request("/entries/1yc4?x=1")).status, 400);
   // Lenient spellings the request contract refuses: non-finite, signed,
   // hex and overflowing numbers, repeated keys, and parameters on routes

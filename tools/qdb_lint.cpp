@@ -75,8 +75,8 @@ const std::vector<TokenRule>& token_rules() {
        "qdb::Clock (common/clock.h) so tests control the clock"},
       {"simd-intrinsics", {"immintrin.h", "_mm256", "__m256"},
        kBare | kQualified | kMember | kPrefix, false, false, nullptr,
-       "raw SIMD intrinsic ({}) — vector kernels belong to src/quantum/kernels.* "
-       "behind its runtime dispatch and QDB_NO_AVX2 fallback"},
+       "raw SIMD intrinsic ({}) — vector kernels belong to src/quantum/kernels.cpp or "
+       "src/dock/vina_simd.cpp, behind their runtime dispatch and QDB_NO_AVX2 fallback"},
       {"lenient-number",
        {"strtod", "strtof", "strtold", "strtol", "strtoll", "strtoul", "strtoull", "atoi",
         "atol", "atoll", "atof", "stoi", "stol", "stoll", "stoul", "stoull", "stof", "stod",

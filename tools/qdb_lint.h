@@ -33,8 +33,9 @@
 //                       the injectable qdb::Clock so tests run on a
 //                       ManualClock.
 //   simd-intrinsics     raw AVX2 spellings (immintrin.h, _mm256*, __m256*)
-//                       outside src/quantum/kernels.* (allowlisted) — one
-//                       surface to audit for the QDB_NO_AVX2 fallback.
+//                       outside src/quantum/kernels.cpp and
+//                       src/dock/vina_simd.cpp (allowlisted) — two files
+//                       to audit for the QDB_NO_AVX2 fallback.
 //   raw-traceparent     the quoted W3C context-header literal in src/ —
 //                       src/obs/trace.h (allowlisted) owns the name and its
 //                       strict parse/format rules.  Scans raw text: the
