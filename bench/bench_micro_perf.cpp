@@ -442,7 +442,7 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   // Each A/B summary runs only beside the benchmark it extends, so a filter
-  // for other layers (docking, say) neither times nor tunes the engines.
+  // for other layers (docking, say) does not time the engines.
   MetricList metrics;
   if (filter_selects("BM_HamiltonianEnergyBatch/4096")) metrics = stage2_speedup_summary();
   if (filter_selects("BM_FusedAnsatzApply/16/0")) {

@@ -185,12 +185,10 @@ Pipeline::EntryRun Pipeline::run_entry(const DatasetEntry& entry, Method method)
   } else {
     // The prediction does not depend on the ligand, so it runs on this
     // thread beside the imprint's docking runs, which leave cores idle
-    // (DESIGN.md §3.1).  What both sides read is settled first: the
-    // reference, and the tuner plans, so that no kernel is timed while the
-    // dock holds the cores.  The prediction's spans keep this span as their
-    // parent rather than the imprint's dock.run.
+    // (DESIGN.md §3.1).  The reference, which both sides read, is built
+    // first.  The prediction's spans keep this span as their parent rather
+    // than the imprint's dock.run.
     reference(entry);
-    if (method == Method::QDock) resolve_dense_plans(encoding_qubits(entry.length()), opt_.vqe);
     const obs::TraceContext here = obs::current_trace_context();
     imprint(entry, [&] {
       const obs::ScopedTraceContext scope(here);

@@ -20,8 +20,8 @@
 // Fusion choices are deliberately deterministic: the matrix-fusion depth cap
 // is a fixed program property (FusionOptions::max_run), never a timing
 // decision, so identical inputs produce identical programs on every host.
-// The tuner (quantum/tuner.h) only picks the cache-block size, which is
-// results-neutral at both fidelity levels.
+// The engine's cache-block size (default_block_qubits in quantum/kernels.h)
+// is results-neutral at both fidelity levels.
 #pragma once
 
 #include <array>

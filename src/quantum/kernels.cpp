@@ -9,7 +9,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "quantum/sampling.h"
-#include "quantum/tuner.h"
 
 // AVX2 kernels are compiled behind a target attribute and selected at
 // runtime, so the translation unit builds (and the scalar path runs) on any
@@ -579,13 +578,19 @@ void run_lowered(Real* re, Real* im, int num_qubits, int block, bool avx2,
 
 }  // namespace
 
+int default_block_qubits(int num_qubits) {
+  // Block size never changes a bit of the result, and at 10-16 qubits blocks
+  // 10-14 time as ties inside run-to-run noise, serial or threaded
+  // (DESIGN.md §11.2), so the block is not worth timing.
+  return std::min(num_qubits, 12);
+}
+
 FusedEngine::FusedEngine(int num_qubits, Precision precision, EngineOptions opt)
     : num_qubits_(num_qubits), precision_(precision), opt_(opt) {
   QDB_REQUIRE(num_qubits >= 1 && num_qubits <= 30,
               "fused engine supports 1..30 qubits");
-  block_qubits_ = opt_.block_qubits > 0
-                      ? opt_.block_qubits
-                      : Tuner::global().plan_for(num_qubits, precision).block_qubits;
+  block_qubits_ =
+      opt_.block_qubits > 0 ? opt_.block_qubits : default_block_qubits(num_qubits);
   block_qubits_ = std::clamp(block_qubits_, 1, num_qubits_);
   const std::size_t dim = std::size_t{1} << num_qubits_;
   if (precision_ == Precision::f64) {
@@ -621,7 +626,7 @@ void FusedEngine::apply(const Circuit& c) {
   fo.fuse_matrices = (precision_ == Precision::f32);
   const FusedProgram program = fuse_circuit(c, fo);
   // Counted where the fusion happens, so applying a program fused earlier
-  // (the autotuner's timing runs) adds nothing.
+  // (the micro-benchmarks' loops) adds nothing.
   static obs::Counter& gates_in = obs::counter("kernel.fused.gates_in");
   static obs::Counter& ops_out = obs::counter("kernel.fused.ops");
   gates_in.add(program.gates_in);

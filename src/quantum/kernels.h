@@ -46,8 +46,12 @@ bool kernels_avx2_compiled();
 /// AVX2 kernels compiled in *and* supported by the running CPU.
 bool kernels_avx2_active();
 
+/// The cache-block size FusedEngine uses when EngineOptions::block_qubits
+/// is 0: min(num_qubits, 12).  The only place the default is decided.
+int default_block_qubits(int num_qubits);
+
 struct EngineOptions {
-  /// Cache-block size in qubits; 0 consults the tuner (quantum/tuner.h).
+  /// Cache-block size in qubits; 0 takes default_block_qubits().
   /// Results-neutral at every value — it only changes traversal order.
   int block_qubits = 0;
   /// Skip the AVX2 dispatch even when available (scalar-vs-SIMD goldens).
@@ -61,7 +65,7 @@ class FusedEngine {
   int num_qubits() const { return num_qubits_; }
   std::uint64_t dimension() const { return std::uint64_t{1} << num_qubits_; }
   Precision precision() const { return precision_; }
-  /// The resolved cache-block size (after tuner/default resolution).
+  /// The resolved cache-block size (the option, else the default rule).
   int block_qubits() const { return block_qubits_; }
 
   /// Reset to |0...0>.
@@ -73,7 +77,7 @@ class FusedEngine {
   /// kernel.fused.gates_in / kernel.fused.ops counters are added to.
   void apply(const Circuit& c);
 
-  /// Execute an already-fused program (bench, tuner and sweep entry point);
+  /// Execute an already-fused program (bench and sweep entry point);
   /// adds nothing to the fusion counters.
   void apply(const FusedProgram& p);
 

@@ -25,7 +25,7 @@ namespace {
 //   t * x        = (t*xr, t*xi)               (t real)
 // in the same summation order, so every tensor, singular value and sampled
 // bit is what the std::complex loops gave, without their per-product NaN
-// check (DESIGN.md §11.6).  This file is built without floating-point
+// check (DESIGN.md §11.5).  This file is built without floating-point
 // contraction (src/quantum/CMakeLists.txt): an FMA would round differently.
 
 double* re_im(cplx* p) { return reinterpret_cast<double*>(p); }

@@ -48,9 +48,10 @@ struct LayerGrouping {
 };
 
 /// Group `c` into wire runs with a single sweep.  `max_run` caps how many
-/// one-qubit gates a run may absorb (the tuner's fusion-depth knob); 0 means
-/// unlimited.  Gate order within and across runs preserves circuit order per
-/// wire, so applying the runs left to right is equivalent to the circuit.
+/// one-qubit gates a run may absorb (FusionOptions::max_run, a fixed
+/// program property, never timed); 0 means unlimited.  Gate order within
+/// and across runs preserves circuit order per wire, so applying the runs
+/// left to right is equivalent to the circuit.
 LayerGrouping group_wire_runs(const Circuit& c, int max_run = 0);
 
 }  // namespace qdb

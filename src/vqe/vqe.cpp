@@ -14,7 +14,6 @@
 #include "quantum/histogram.h"
 #include "quantum/mitigation.h"
 #include "quantum/mps.h"
-#include "quantum/tuner.h"
 #include "vqe/exec_time.h"
 
 namespace qdb {
@@ -22,12 +21,6 @@ namespace qdb {
 bool uses_mps_engine(int num_qubits, const VqeOptions& opt) {
   return opt.engine == VqeOptions::Engine::Mps ||
          (opt.engine == VqeOptions::Engine::Auto && num_qubits > 14);
-}
-
-void resolve_dense_plans(int num_qubits, const VqeOptions& options) {
-  if (uses_mps_engine(num_qubits, options)) return;
-  Tuner::global().plan_for(num_qubits, options.stage1_precision);
-  Tuner::global().plan_for(num_qubits, Precision::f64);
 }
 
 VqeDriver::VqeDriver(const FoldingHamiltonian& hamiltonian, VqeOptions options)

@@ -217,10 +217,4 @@ class VqeDriver {
 /// (Engine::Mps, or Engine::Auto above 14 qubits) rather than the dense one.
 bool uses_mps_engine(int num_qubits, const VqeOptions& opt);
 
-/// Resolve the autotuner plans that the dense engines of a VqeDriver run
-/// over `num_qubits` with `options` would otherwise resolve on first use
-/// (the stage-1 precision and f64); nothing on the MPS engine.  Lets a
-/// caller settle any tuning before the run shares the cores with other work.
-void resolve_dense_plans(int num_qubits, const VqeOptions& options);
-
 }  // namespace qdb

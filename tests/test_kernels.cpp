@@ -1,5 +1,7 @@
 // Fused engine goldens (ISSUE 6): f64 bit-identity against the scalar
-// Statevector, f32 tolerance bounds, fusion accounting, tuner caching.
+// Statevector, f32 tolerance bounds, fusion accounting, the default
+// cache-block rule, and no cache file written under the user's home.
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -7,15 +9,14 @@
 
 #include <gtest/gtest.h>
 
-#include "common/json.h"
 #include "common/rng.h"
+#include "core/pipeline.h"
 #include "obs/metrics.h"
 #include "quantum/ansatz.h"
 #include "quantum/fusion.h"
 #include "quantum/kernels.h"
 #include "quantum/noise.h"
 #include "quantum/statevector.h"
-#include "quantum/tuner.h"
 #include "transpile/basis.h"
 #include "transpile/layers.h"
 
@@ -73,17 +74,21 @@ TEST(FusedEngineF64, BitIdenticalToStatevectorOnTranspiledAnsatz) {
 }
 
 TEST(FusedEngineF64, BitIdenticalAcrossBlockSizesAndGateKinds) {
-  const int nq = 11;
-  const Circuit c = misc_circuit(nq);
-  Statevector sv(nq);
-  sv.apply(c);
-  const auto want = sv.amplitudes();
-  for (const int block : {2, 4, 7, nq}) {
-    EngineOptions opt;
-    opt.block_qubits = block;
-    FusedEngine eng(nq, Precision::f64, opt);
-    eng.apply(c);
-    EXPECT_TRUE(bit_identical(eng.amplitudes(), want)) << "block=" << block;
+  // Block 12 is the default rule's pick on every register wider than 12.
+  const std::vector<std::pair<int, std::vector<int>>> cases = {
+      {11, {2, 4, 7, 11}}, {14, {12}}, {16, {12}}};
+  for (const auto& [nq, blocks] : cases) {
+    const Circuit c = misc_circuit(nq);
+    Statevector sv(nq);
+    sv.apply(c);
+    const auto want = sv.amplitudes();
+    for (const int block : blocks) {
+      EngineOptions opt;
+      opt.block_qubits = block;
+      FusedEngine eng(nq, Precision::f64, opt);
+      eng.apply(c);
+      EXPECT_TRUE(bit_identical(eng.amplitudes(), want)) << "nq=" << nq << " block=" << block;
+    }
   }
 }
 
@@ -367,81 +372,6 @@ TEST(Fusion, ExactModeEmitsOneOpPerGate) {
   EXPECT_DOUBLE_EQ(prog.fusion_ratio(), 1.0);
 }
 
-class TunerCacheTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "qdb_tuner_test";
-    std::filesystem::create_directories(dir_);
-    path_ = (dir_ / "plans.json").string();
-    std::filesystem::remove(path_);
-    ASSERT_EQ(setenv("QDB_TUNER_CACHE", path_.c_str(), 1), 0);
-    Tuner::global().clear_memory();
-  }
-  void TearDown() override {
-    unsetenv("QDB_TUNER_CACHE");
-    Tuner::global().clear_memory();
-    std::filesystem::remove_all(dir_);
-  }
-  std::filesystem::path dir_;
-  std::string path_;
-};
-
-TEST_F(TunerCacheTest, PlansAreCachedInMemoryOnDiskAndVersionInvalidated) {
-  const TunerPlan first = Tuner::global().plan_for(12, Precision::f64);
-  EXPECT_GE(first.block_qubits, 1);
-  EXPECT_LE(first.block_qubits, 12);
-  EXPECT_EQ(first.source, "tuned");
-
-  // Second resolution: in-memory, same plan.
-  const auto mem_hits = obs::counter("kernel.tuner.memory_hit").value();
-  const TunerPlan second = Tuner::global().plan_for(12, Precision::f64);
-  EXPECT_EQ(second.block_qubits, first.block_qubits);
-  EXPECT_EQ(obs::counter("kernel.tuner.memory_hit").value(), mem_hits + 1);
-
-  // New process simulation: drop memory, plan comes back from disk.
-  ASSERT_TRUE(std::filesystem::exists(path_));
-  Tuner::global().clear_memory();
-  const TunerPlan reloaded = Tuner::global().plan_for(12, Precision::f64);
-  EXPECT_EQ(reloaded.block_qubits, first.block_qubits);
-  EXPECT_EQ(reloaded.source, "disk");
-
-  // A version bump retires every persisted plan.
-  Json doc = Json::parse(read_file(path_));
-  doc.set("version", Tuner::kFormatVersion + 1);
-  write_file_atomic(path_, doc.dump());
-  Tuner::global().clear_memory();
-  const TunerPlan retuned = Tuner::global().plan_for(12, Precision::f64);
-  EXPECT_EQ(retuned.source, "tuned");
-}
-
-TEST_F(TunerCacheTest, MalformedCacheIsIgnoredNotFatal) {
-  write_file_atomic(path_, "{not json");
-  const TunerPlan plan = Tuner::global().plan_for(10, Precision::f32);
-  EXPECT_EQ(plan.source, "tuned");
-  // And the rewrite produced a valid file.
-  const Json doc = Json::parse(read_file(path_));
-  EXPECT_EQ(doc.at("version").as_int(), Tuner::kFormatVersion);
-}
-
-TEST_F(TunerCacheTest, ColdTuningLeavesFusionCountersUnchanged) {
-  // The timing runs apply a program fused once up front, so the fusion
-  // counters do not depend on whether the tuner cache was cold.
-  const auto gates_before = obs::counter("kernel.fused.gates_in").value();
-  const auto ops_before = obs::counter("kernel.fused.ops").value();
-  const TunerPlan plan = Tuner::global().plan_for(12, Precision::f32);
-  EXPECT_EQ(plan.source, "tuned");
-  EXPECT_EQ(obs::counter("kernel.fused.gates_in").value(), gates_before);
-  EXPECT_EQ(obs::counter("kernel.fused.ops").value(), ops_before);
-}
-
-TEST_F(TunerCacheTest, SmallRegistersResolveWithoutBenchmarking) {
-  const auto tuned_before = obs::counter("kernel.tuner.tuned").value();
-  const TunerPlan plan = Tuner::global().plan_for(4, Precision::f64);
-  EXPECT_EQ(plan.source, "default");
-  EXPECT_EQ(plan.block_qubits, 4);
-  EXPECT_EQ(obs::counter("kernel.tuner.tuned").value(), tuned_before);
-}
-
 /// Sets (or, for nullptr, unsets) an environment variable for one scope.
 class ScopedEnv {
  public:
@@ -471,54 +401,33 @@ class ScopedEnv {
   bool had_ = false;
 };
 
-/// Runs in `dir` for one scope.
-class ScopedCwd {
- public:
-  explicit ScopedCwd(const std::filesystem::path& dir) : prior_(std::filesystem::current_path()) {
-    std::filesystem::current_path(dir);
+TEST(FusedEngineBlock, DefaultIsTheQubitCountCappedAtTwelve) {
+  for (int nq = 1; nq <= 22; ++nq) {
+    for (const Precision p : {Precision::f64, Precision::f32}) {
+      EXPECT_EQ(FusedEngine(nq, p).block_qubits(), std::min(nq, 12))
+          << "nq=" << nq << " " << precision_name(p);
+    }
   }
-  ~ScopedCwd() { std::filesystem::current_path(prior_); }
-  ScopedCwd(const ScopedCwd&) = delete;
-  ScopedCwd& operator=(const ScopedCwd&) = delete;
+}
 
- private:
-  std::filesystem::path prior_;
-};
-
-TEST(TunerCacheLocation, DefaultsToTheUserCacheDirectoryNotTheWorkingDirectory) {
-  const std::filesystem::path root = std::filesystem::temp_directory_path() / "qdb_tuner_location";
+TEST(UserCache, DenseEnginesAndAColdEvaluateWriteNothingThere) {
+  const std::filesystem::path root =
+      std::filesystem::path(testing::TempDir()) / "qdb_user_cache";
   std::filesystem::remove_all(root);
-  const std::filesystem::path xdg = root / "xdg", home = root / "home", cwd = root / "cwd";
-  std::filesystem::create_directories(cwd);
+  std::filesystem::create_directories(root);
   {
-    const ScopedCwd in_cwd(cwd);
-    const ScopedEnv no_override("QDB_TUNER_CACHE", nullptr);
-    const ScopedEnv xdg_env("XDG_CACHE_HOME", xdg.c_str());
-    const ScopedEnv home_env("HOME", home.c_str());
-    const std::filesystem::path expected = xdg / "qdockbank" / "tuner.json";
-    EXPECT_EQ(Tuner::cache_path(), expected.string());
-
-    // A tuned plan is saved there, creating the directories; nothing lands
-    // in the working directory or under $HOME.
-    Tuner::global().clear_memory();
-    EXPECT_EQ(Tuner::global().plan_for(10, Precision::f64).source, "tuned");
-    EXPECT_TRUE(std::filesystem::exists(expected));
-    EXPECT_TRUE(std::filesystem::is_empty(cwd));
-    EXPECT_FALSE(std::filesystem::exists(home));
-    Tuner::global().clear_memory();
-    EXPECT_EQ(Tuner::global().plan_for(10, Precision::f64).source, "disk");
-
-    {
-      const ScopedEnv relative("XDG_CACHE_HOME", "relative/cache");
-      EXPECT_EQ(Tuner::cache_path(), (home / ".cache" / "qdockbank" / "tuner.json").string());
+    const ScopedEnv xdg_env("XDG_CACHE_HOME", root.c_str());
+    const ScopedEnv home_env("HOME", root.c_str());
+    for (const int nq : {10, 12, 14}) {
+      for (const Precision p : {Precision::f64, Precision::f32}) {
+        FusedEngine eng(nq, p);
+        eng.apply(transpiled_ansatz(nq, 5));
+      }
     }
-    {
-      const ScopedEnv no_xdg("XDG_CACHE_HOME", nullptr);
-      const ScopedEnv no_home("HOME", nullptr);
-      EXPECT_EQ(Tuner::cache_path(), "");
-    }
+    const Pipeline pipeline(PipelineOptions::bench_profile());
+    pipeline.evaluate(entry_by_id("6p86"), Method::QDock);
+    EXPECT_TRUE(std::filesystem::is_empty(root));
   }
-  Tuner::global().clear_memory();
   std::filesystem::remove_all(root);
 }
 

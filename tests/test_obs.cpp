@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <filesystem>
 #include <set>
 #include <string>
@@ -24,7 +23,6 @@
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "quantum/tuner.h"
 
 namespace qdb::obs {
 namespace {
@@ -765,35 +763,6 @@ TEST_F(TraceTest, BatchJobsParentUnderTheirRunOnEveryThread) {
     jobs.insert(ev.span_id);
   }
   EXPECT_EQ(jobs.size(), entries.size());  // one job each, every id distinct
-}
-
-TEST_F(TraceTest, ColdEvaluateTunesBeforeTheImprintDock) {
-  const std::filesystem::path cache =
-      std::filesystem::path(testing::TempDir()) / "qdb_obs_cold_tuner.json";
-  std::filesystem::remove(cache);
-  const char* prior = std::getenv("QDB_TUNER_CACHE");
-  const std::string saved = prior != nullptr ? prior : "";
-  setenv("QDB_TUNER_CACHE", cache.c_str(), 1);
-  Tuner::global().clear_memory();
-
-  const std::vector<TraceEvent> events = traced_cold_evaluate("6p86");  // 10 qubits
-
-  if (prior != nullptr) {
-    setenv("QDB_TUNER_CACHE", saved.c_str(), 1);
-  } else {
-    unsetenv("QDB_TUNER_CACHE");
-  }
-  Tuner::global().clear_memory();
-  std::filesystem::remove(cache);
-
-  const TraceEvent& dock = imprint_dock(events);
-  int tunes = 0;
-  for (const TraceEvent& ev : events) {
-    if (ev.name != "kernel.tuner.tune") continue;
-    ++tunes;
-    EXPECT_LE(ev.ts_us + ev.dur_us, dock.ts_us);
-  }
-  EXPECT_EQ(tunes, 2);  // stage-1 f32 and the f64 of stage 2
 }
 
 // --- flight recorder (ISSUE 10) ---------------------------------------------
