@@ -579,9 +579,11 @@ void run_lowered(Real* re, Real* im, int num_qubits, int block, bool avx2,
 }  // namespace
 
 int default_block_qubits(int num_qubits) {
-  // Block size never changes a bit of the result, and at 10-16 qubits blocks
-  // 10-14 time as ties inside run-to-run noise, serial or threaded
-  // (DESIGN.md §11.2), so the block is not worth timing.
+  // Block size never changes a bit of the result.  On the registers the
+  // dataset runs dense (4-14 qubits, even), this block times level with the
+  // timed picks it replaced both inside a parallel region, where the block
+  // loop is serial, and at top level on 2 and 4 threads (DESIGN.md §11.2),
+  // so the block is not worth timing.
   return std::min(num_qubits, 12);
 }
 

@@ -27,11 +27,13 @@ class Tuner {
   /// Nothing is cached in memory.
   void clear_memory() {}
 
-  /// $QDB_TUNER_CACHE, or "" when unset.  Nothing is read from or written
-  /// to this path.
+  /// $QDB_TUNER_CACHE, or "" when it is unset or "off" (the old switch
+  /// that disabled the cache), so perfbench never deletes a stray file
+  /// named "off".  Nothing is read from or written to this path.
   static std::string cache_path() {
     const char* env = std::getenv("QDB_TUNER_CACHE");
-    return env != nullptr ? std::string(env) : std::string();
+    if (env == nullptr || std::string(env) == "off") return std::string();
+    return std::string(env);
   }
 };
 

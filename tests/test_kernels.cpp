@@ -1,4 +1,4 @@
-// Fused engine goldens (ISSUE 6): f64 bit-identity against the scalar
+// Fused engine goldens: f64 bit-identity against the scalar
 // Statevector, f32 tolerance bounds, fusion accounting, the default
 // cache-block rule, and no cache file written under the user's home.
 #include <algorithm>
