@@ -378,8 +378,9 @@ BatchReport run_batch(const std::vector<const DatasetEntry*>& entries,
 
   const auto pending_n = static_cast<std::int64_t>(pending.size());
   if (options.run_vqe) {
-    // Exceptions never escape the OpenMP region: run_one_resilient captures
-    // every per-job failure into the record (and fatal[] for fail_fast).
+    // Exceptions never escape the loop body (a throw on a pool thread ends
+    // the process): run_one_resilient captures every per-job failure into
+    // the record (and fatal[] for fail_fast).
     parallel_for_threads(pending_n, options.threads, [&](std::int64_t k) {
       run_index(pending[static_cast<std::size_t>(k)]);
     });

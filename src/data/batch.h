@@ -108,10 +108,11 @@ struct BatchOptions {
   bool run_vqe = true;            // false: account published exec times only
 
   // Simulation-host parallelism: fan the entries out across this many
-  // threads (0 = all available / the OMP_NUM_THREADS default, 1 = serial).
-  // Every entry derives its seed from its pdb_id, and the queue/device
-  // clocks are modelled after the parallel region in stable entry order, so
-  // the report is byte-identical for every thread count.
+  // threads (0 = hardware_threads(), i.e. OMP_NUM_THREADS or the CPUs
+  // available; 1 = serial).  Every entry derives its seed from its pdb_id,
+  // and the queue/device clocks are modelled after the parallel region in
+  // stable entry order, so the report is byte-identical for every thread
+  // count.
   int threads = 0;
 
   // Resilience knobs (ISSUE 2).

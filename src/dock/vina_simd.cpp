@@ -234,31 +234,55 @@ QDB_TARGET_AVX2_FMA void exp4_avx2(const double* x, double* out) {
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
-/// exp4 against std::exp, bit for bit: 2^16 seeded arguments over [-90, 0]
-/// (the range the terms' exps take) and the edge cases of glibc's special
-/// paths.  The probes are generated, not stored.
+/// exp4 against std::exp, bit for bit, on three probe sets:
+///   - 2^16 seeded arguments over [-90, 0], the range the terms' exps take,
+///     and the edge cases of glibc's special paths;
+///   - every reduction boundary (k + 1/2) ln2/N in [-90, 0] and its two
+///     neighbours, where x N/ln2 is half-way between two integers: an
+///     unfused x N/ln2 + shift rounds k the other way there, and nowhere
+///     in 10^7 seeded arguments;
+///   - eight arguments at which an unfused (C2 + r C3) r2 + (r + tail)
+///     gives other bits.  That variant differs on about one argument in
+///     10^6, so the seeded probes miss it; the eight come from a seeded
+///     search of 5 * 10^7 arguments.
+/// Dropping any other one of the FMAs either fails the seeded probes or
+/// changed none of 10^7 arguments.  Only the edge cases and the eight are
+/// stored; the other probes are generated.
 bool exp4_matches_std_exp() {
-  static constexpr double kEdges[] = {
+  static constexpr double kStored[] = {
       0.0, -0.0, 0x1p-54, -0x1p-54, 0x1.fffffffffffffp-55, -0x1.fffffffffffffp-55,
       0x1p-1074, -0x1p-1074, -1.0, -0.5, -90.0, 511.99, -511.99, 512.0, -512.0,
       -708.5, -709.0, -740.0, -745.1, -745.2, -746.0, 709.7, 709.8, 710.0,
       std::numeric_limits<double>::infinity(), -std::numeric_limits<double>::infinity(),
-      std::numeric_limits<double>::quiet_NaN()};
-  constexpr std::size_t kEdgeCount = sizeof(kEdges) / sizeof(kEdges[0]);
-  std::uint64_t state = 0x5eedf00dULL;
+      std::numeric_limits<double>::quiet_NaN(),
+      // The unfused polynomial step gives other bits here.
+      -0x1.37abbbe53d88p-6, -0x1.0c6cacf30d62dp+2, -0x1.9aef680342e3cp+3,
+      -0x1.15c12ffbb93fep+4, -0x1.fefb8b05b6ca8p+4, -0x1.3de6f442a2fbap+5,
+      -0x1.d60f025f99313p+5, -0x1.42ad589103e86p+6};
   double x[4], got[4];
-  for (std::size_t i = 0; i < (std::size_t{1} << 16) + kEdgeCount; i += 4) {
-    for (std::size_t l = 0; l < 4; ++l) {
-      const std::size_t e = i + l;
-      x[l] = e < kEdgeCount ? kEdges[e]
-                            : -90.0 * static_cast<double>(splitmix64(state) >> 11) * 0x1.0p-53;
-    }
+  int filled = 0;
+  bool same = true;
+  const auto probe = [&](double v) {
+    x[filled++] = v;
+    if (filled < 4) return;
+    filled = 0;
     exp4_avx2(x, got);
-    for (std::size_t l = 0; l < 4; ++l) {
-      if (bits(got[l]) != bits(std::exp(x[l]))) return false;
-    }
+    for (int l = 0; l < 4; ++l) same = same && bits(got[l]) == bits(std::exp(x[l]));
+  };
+  for (const double v : kStored) probe(v);
+  std::uint64_t state = 0x5eedf00dULL;
+  for (int i = 0; i < 1 << 16; ++i) {
+    probe(-90.0 * static_cast<double>(splitmix64(state) >> 11) * 0x1.0p-53);
   }
-  return true;
+  for (int k = -1;; --k) {
+    const double boundary = (k + 0.5) / exp_table::kInvLn2N;
+    if (boundary < -90.0) break;
+    probe(std::nextafter(boundary, -1.0));
+    probe(boundary);
+    probe(std::nextafter(boundary, 0.0));
+  }
+  while (filled != 0) probe(0.0);
+  return same;
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <cstdlib>
 
 #include "common/annotations.h"
+#include "common/parallel.h"
 #include "common/strings.h"
 #include "common/sync.h"
 #include "obs/flight.h"
@@ -65,6 +66,21 @@ std::int64_t epoch_millis() {
              std::chrono::system_clock::now().time_since_epoch())
       .count();
 }
+
+/// common/parallel.h cannot log, so it reports a rejected OMP_NUM_THREADS
+/// through this hook, installed when the logger is linked in.
+void warn_thread_env(std::string_view value, int threads) {
+  log_warn("parallel.thread_count_rejected")
+      .kv("variable", "OMP_NUM_THREADS")
+      .kv("value", value)
+      .kv("threads", threads)
+      .kv("accepted", "whole number in [1, 1024]");
+}
+
+[[maybe_unused]] const bool g_thread_env_hook_installed = [] {
+  set_thread_env_hook(&warn_thread_env);
+  return true;
+}();
 
 }  // namespace
 

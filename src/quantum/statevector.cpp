@@ -143,12 +143,9 @@ double Statevector::fidelity(const Statevector& a, const Statevector& b) {
   QDB_REQUIRE(a.dimension() == b.dimension(), "fidelity: dimension mismatch");
   const cplx* pa = a.amps_.data();
   const cplx* pb = b.amps_.data();
-  const auto [re, im] = parallel_reduce_pair(
-      static_cast<std::int64_t>(a.amps_.size()), [&](std::int64_t i) {
-        const cplx term = std::conj(pa[i]) * pb[i];
-        return std::pair<double, double>{term.real(), term.imag()};
-      });
-  return std::norm(cplx{re, im});
+  const cplx inner = parallel_reduce(static_cast<std::int64_t>(a.amps_.size()),
+                                     [&](std::int64_t i) { return std::conj(pa[i]) * pb[i]; });
+  return std::norm(inner);
 }
 
 }  // namespace qdb

@@ -2,7 +2,7 @@
 //
 // Exact simulation for circuits up to ~24 qubits (the compact turn encoding
 // of every QDockBank fragment fits: at most 22 qubits for 14 residues).
-// Amplitude loops are OpenMP-parallel.  Qubit 0 is the least-significant bit
+// Amplitude loops run on common/parallel.h's thread pool.  Qubit 0 is the least-significant bit
 // of the state index.
 #pragma once
 

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <limits>
 #include <set>
 #include <stdexcept>
@@ -428,6 +429,76 @@ TEST(ParallelBeside, InsideAParallelRegionEverythingRunsOnTheEnclosingThread) {
   });
   EXPECT_EQ(bodies.load(), 16);
   EXPECT_EQ(foreign.load(), 0);
+}
+
+// --- the thread pool behind the wrappers --------------------------------------
+
+/// The threads other than the caller that ran a 4-index region at 4 threads.
+/// Every body waits until all four have started, so each index is on its own
+/// thread.
+std::set<std::thread::id> workers_of_one_region() {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> arrived{0};
+  std::vector<std::thread::id> ran(4);
+  parallel_for_threads(4, 4, [&](std::int64_t i) {
+    ran[static_cast<std::size_t>(i)] = std::this_thread::get_id();
+    arrived.fetch_add(1);
+    while (arrived.load() < 4) std::this_thread::yield();
+  });
+  std::set<std::thread::id> workers(ran.begin(), ran.end());
+  EXPECT_EQ(workers.size(), 4u);
+  workers.erase(caller);
+  return workers;
+}
+
+TEST(ParallelPool, ConsecutiveRegionsRunOnTheSameWorkers) {
+  const std::set<std::thread::id> first = workers_of_one_region();
+  EXPECT_EQ(first.size(), 3u);
+  EXPECT_EQ(workers_of_one_region(), first);
+}
+
+TEST(ParallelPool, ConcurrentCallersEachSeeEveryIndexOnce) {
+  constexpr std::int64_t kN = 64;
+  constexpr int kRounds = 20;
+  std::vector<std::atomic<int>> hits_a(kN), hits_b(kN);
+  const auto caller = [&](std::vector<std::atomic<int>>& hits) {
+    for (int round = 0; round < kRounds; ++round) {
+      parallel_for_threads(kN, 4, [&](std::int64_t i) {
+        hits[static_cast<std::size_t>(i)].fetch_add(1);
+      });
+    }
+  };
+  std::thread a(caller, std::ref(hits_a));
+  std::thread b(caller, std::ref(hits_b));
+  a.join();
+  b.join();
+  for (std::int64_t i = 0; i < kN; ++i) {
+    EXPECT_EQ(hits_a[static_cast<std::size_t>(i)].load(), kRounds) << i;
+    EXPECT_EQ(hits_b[static_cast<std::size_t>(i)].load(), kRounds) << i;
+  }
+}
+
+TEST(ParallelPool, ReduceReturnsTheSameBitsOnEveryCall) {
+  const auto term = [](std::int64_t i) {
+    return std::sin(static_cast<double>(i)) / static_cast<double>(i + 1);
+  };
+  const double first = parallel_reduce(100003, term);
+  for (int call = 0; call < 20; ++call) {
+    const double again = parallel_reduce(100003, term);
+    EXPECT_EQ(std::memcmp(&again, &first, sizeof first), 0) << call;
+  }
+}
+
+TEST(ParallelPool, OmpNumThreadsIsAWholeNumberFromOneTo1024) {
+  using parallel_detail::parse_thread_count;
+  EXPECT_EQ(parse_thread_count("1"), 1);
+  EXPECT_EQ(parse_thread_count("4"), 4);
+  EXPECT_EQ(parse_thread_count("1024"), 1024);
+  EXPECT_EQ(parse_thread_count(nullptr), 0);  // unset: the affinity count
+  EXPECT_EQ(parse_thread_count(""), 0);
+  for (const char* bad : {"0", "x", "4x", "99999", "1025", "-2", "+4", " 4", "4,2"}) {
+    EXPECT_EQ(parse_thread_count(bad), -1) << bad;
+  }
 }
 
 TEST(ErrorHelpers, RequireThrowsWithMessage) {

@@ -155,11 +155,11 @@ TEST(Rules, SimdIntrinsicsFlaggedEverywhereIncludingKernelHome) {
   EXPECT_TRUE(of_rule(lint_source("src/a.cpp", ok), "simd-intrinsics").empty());
 }
 
-TEST(Rules, OmpPragmaAllowedOnlyInParallelHeader) {
+TEST(Rules, OmpPragmaFlaggedEvenInParallelHeader) {
   const std::string omp = "#pragma once\n#pragma omp parallel for\nvoid f();\n";
   EXPECT_EQ(of_rule(lint_source("src/quantum/statevector.cpp", omp),
                     "omp-pragma").size(), 1u);
-  EXPECT_TRUE(of_rule(lint_source("src/common/parallel.h", omp), "omp-pragma").empty());
+  EXPECT_EQ(of_rule(lint_source("src/common/parallel.h", omp), "omp-pragma").size(), 1u);
 }
 
 TEST(Rules, SleepOnlyFiresInLibraryOutsideCommon) {

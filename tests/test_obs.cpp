@@ -269,8 +269,9 @@ TEST_F(TraceTest, EightThreadsRecordIntoOneSession) {
 }
 
 TEST_F(TraceTest, ThreadPoolSurvivesSessionTurnover) {
-  // OpenMP reuses pooled threads across parallel regions; the generation
-  // check must rebind each thread's cached buffer to the *new* session.
+  // The parallel.h pool reuses its worker threads across regions; the
+  // generation check must rebind each thread's cached buffer to the *new*
+  // session.
   for (int round = 0; round < 3; ++round) {
     TraceSession session;
     session.start();

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <complex>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -304,16 +305,16 @@ TEST(StatevectorFidelity, ParallelReductionMatchesSerial) {
   EXPECT_NEAR(Statevector::fidelity(a, a), 1.0, 1e-9);
 }
 
-TEST(ParallelHelpers, ThreadCappedForAndPairReduce) {
+TEST(ParallelHelpers, ThreadCappedForAndComplexReduce) {
   std::vector<int> hit(100, 0);
   parallel_for_threads(100, 2, [&](std::int64_t i) { hit[static_cast<std::size_t>(i)]++; });
   EXPECT_EQ(std::count(hit.begin(), hit.end(), 1), 100);
-  const auto [s, q] = parallel_reduce_pair(10, [](std::int64_t i) {
+  const std::complex<double> sum = parallel_reduce(10, [](std::int64_t i) {
     const double d = static_cast<double>(i);
-    return std::pair<double, double>{d, d * d};
+    return std::complex<double>{d, d * d};
   });
-  EXPECT_DOUBLE_EQ(s, 45.0);
-  EXPECT_DOUBLE_EQ(q, 285.0);
+  EXPECT_DOUBLE_EQ(sum.real(), 45.0);
+  EXPECT_DOUBLE_EQ(sum.imag(), 285.0);
 }
 
 }  // namespace

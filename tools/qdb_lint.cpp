@@ -181,15 +181,13 @@ void lint_file(const std::string& relpath, const std::string& text, const std::s
     add(pos, "naked-new-delete", "naked delete — ownership must be RAII-managed");
   });
 
-  // omp-pragma: OpenMP stays behind the parallel.h wrappers so the TSan
-  // build can substitute its instrumentable std::thread backend.
-  if (relpath != "src/common/parallel.h") {
-    for (std::size_t pos = code.find("#pragma omp"); pos != std::string::npos;
-         pos = code.find("#pragma omp", pos + 1)) {
-      add(pos, "omp-pragma",
-          "#pragma omp outside common/parallel.h — use the parallel_for "
-          "wrappers (the TSan build swaps in a std::thread backend there)");
-    }
+  // omp-pragma: the tree builds without -fopenmp, so a stray pragma would
+  // quietly compile to a serial loop; fan-out goes through parallel.h.
+  for (std::size_t pos = code.find("#pragma omp"); pos != std::string::npos;
+       pos = code.find("#pragma omp", pos + 1)) {
+    add(pos, "omp-pragma",
+        "#pragma omp — the build has no OpenMP runtime, so this loop would run "
+        "serially; use the common/parallel.h wrappers");
   }
 
   // raw-traceparent: the W3C context header is named in exactly one place,

@@ -22,9 +22,10 @@
 //   non-atomic-write    write_file()/std::ofstream in src/ — artifacts go
 //                       through write_file_atomic so a crash never leaves a
 //                       truncated file a resume would then trust.
-//   omp-pragma          `#pragma omp` outside common/parallel.h — fan-out
-//                       goes through the parallel.h wrappers so the TSan
-//                       build can swap in its std::thread backend.
+//   omp-pragma          `#pragma omp` anywhere — the build has no OpenMP
+//                       runtime (no -fopenmp), so the pragma would be
+//                       ignored and its loop run serially; fan-out goes
+//                       through the common/parallel.h wrappers.
 //   raw-socket          bare or `::`-qualified socket()/bind()/accept()/
 //                       listen()/connect() — socket plumbing lives in
 //                       src/serve/net_socket.* (allowlisted).
