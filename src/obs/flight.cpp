@@ -58,24 +58,25 @@ void record(std::uint64_t kind, std::string_view name, std::uint64_t dur_us,
   const std::uint64_t seq = r.next.fetch_add(1, std::memory_order_relaxed);
   Slot& s = r.slots[seq % kFlightCapacity];
 
+  // Fence-free seqlock: each payload store is a release after the odd
+  // stamp, so a reader that acquires any word of this write also sees that
+  // stamp (or a later one) when it re-reads it, and drops the slot.
   s.stamp.store(2 * seq + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-
-  s.kind.store(kind, std::memory_order_relaxed);
-  s.ts_us.store(ts, std::memory_order_relaxed);
-  s.dur_us.store(dur_us, std::memory_order_relaxed);
-  s.trace_hi.store(trace_hi, std::memory_order_relaxed);
-  s.trace_lo.store(trace_lo, std::memory_order_relaxed);
-  s.span_id.store(span_id, std::memory_order_relaxed);
-  s.parent_id.store(parent_id, std::memory_order_relaxed);
+  s.kind.store(kind, std::memory_order_release);
+  s.ts_us.store(ts, std::memory_order_release);
+  s.dur_us.store(dur_us, std::memory_order_release);
+  s.trace_hi.store(trace_hi, std::memory_order_release);
+  s.trace_lo.store(trace_lo, std::memory_order_release);
+  s.span_id.store(span_id, std::memory_order_release);
+  s.parent_id.store(parent_id, std::memory_order_release);
   char buf[kFlightNameBytes] = {};
   const std::size_t n = std::min(name.size(), kFlightNameBytes);
   std::memcpy(buf, name.data(), n);
-  s.name_len.store(n, std::memory_order_relaxed);
+  s.name_len.store(n, std::memory_order_release);
   for (std::size_t w = 0; w < kNameWords; ++w) {
     std::uint64_t word = 0;
     std::memcpy(&word, buf + 8 * w, 8);
-    s.name[w].store(word, std::memory_order_relaxed);
+    s.name[w].store(word, std::memory_order_release);
   }
 
   s.stamp.store(2 * seq + 2, std::memory_order_release);
@@ -130,21 +131,22 @@ Json flight_snapshot_json(std::size_t max_records) {
   for (Slot& s : r.slots) {
     const std::uint64_t s1 = s.stamp.load(std::memory_order_acquire);
     if (s1 == 0 || (s1 & 1) != 0) continue;  // never written / mid-write
+    // Acquire loads pair with the writer's release stores (see record()):
+    // a payload word from a newer write makes its odd stamp visible below.
     SlotCopy c;
-    c.kind = s.kind.load(std::memory_order_relaxed);
-    c.ts_us = s.ts_us.load(std::memory_order_relaxed);
-    c.dur_us = s.dur_us.load(std::memory_order_relaxed);
-    c.trace_hi = s.trace_hi.load(std::memory_order_relaxed);
-    c.trace_lo = s.trace_lo.load(std::memory_order_relaxed);
-    c.span_id = s.span_id.load(std::memory_order_relaxed);
-    c.parent_id = s.parent_id.load(std::memory_order_relaxed);
-    std::uint64_t len = s.name_len.load(std::memory_order_relaxed);
+    c.kind = s.kind.load(std::memory_order_acquire);
+    c.ts_us = s.ts_us.load(std::memory_order_acquire);
+    c.dur_us = s.dur_us.load(std::memory_order_acquire);
+    c.trace_hi = s.trace_hi.load(std::memory_order_acquire);
+    c.trace_lo = s.trace_lo.load(std::memory_order_acquire);
+    c.span_id = s.span_id.load(std::memory_order_acquire);
+    c.parent_id = s.parent_id.load(std::memory_order_acquire);
+    std::uint64_t len = s.name_len.load(std::memory_order_acquire);
     char buf[kFlightNameBytes];
     for (std::size_t w = 0; w < kNameWords; ++w) {
-      const std::uint64_t word = s.name[w].load(std::memory_order_relaxed);
+      const std::uint64_t word = s.name[w].load(std::memory_order_acquire);
       std::memcpy(buf + 8 * w, &word, 8);
     }
-    std::atomic_thread_fence(std::memory_order_acquire);
     if (s.stamp.load(std::memory_order_relaxed) != s1) continue;  // overwritten
     if (len > kFlightNameBytes) len = kFlightNameBytes;           // torn slot
     c.name.assign(buf, static_cast<std::size_t>(len));

@@ -14,10 +14,15 @@
 //
 //  * SIMD — split re/im storage (structure of arrays) makes every gate a
 //    contiguous-run loop that AVX2 covers with plain mul/add/sub vectors.
-//    The intrinsic kernels mirror the scalar expression tree exactly and
-//    never use FMA, so f64 SIMD results are bit-identical to scalar; a
-//    runtime `__builtin_cpu_supports` dispatch (plus the QDB_NO_AVX2 build
-//    option) keeps non-AVX2 hosts on the scalar fallback.
+//    Each ISA has one gate kernel, written once over <Real, kIn> (kIn = 2
+//    inputs for a 1q op, 4 for a 2q op): apply_scalar, and on AVX2
+//    apply_wide_avx2 (ops whose run covers a vector) and apply_low_avx2
+//    (ops below the vector width).  `#pragma GCC unroll` unrolls their
+//    constant-trip loops, which GCC leaves rolled at -O2.  The AVX2 kernels
+//    mirror the scalar expression tree exactly and never use FMA, so f64
+//    SIMD results are bit-identical to scalar; a runtime
+//    `__builtin_cpu_supports` dispatch (plus the QDB_NO_AVX2 build option)
+//    keeps non-AVX2 hosts on the scalar fallback.
 //
 // Precision doctrine: Precision::f64 runs exact programs (no matrix fusion)
 // and reproduces Statevector amplitudes bit-for-bit — it backs stage-2 and
@@ -40,10 +45,8 @@ enum class Precision { f64, f32 };
 
 const char* precision_name(Precision p);
 
-/// AVX2 kernels compiled into this binary (false under -DQDB_NO_AVX2=ON or
-/// on non-x86 targets).
-bool kernels_avx2_compiled();
-/// AVX2 kernels compiled in *and* supported by the running CPU.
+/// AVX2 kernels compiled in (not under -DQDB_NO_AVX2=ON, x86-64 only) *and*
+/// supported by the running CPU.
 bool kernels_avx2_active();
 
 /// The cache-block size FusedEngine uses when EngineOptions::block_qubits
@@ -100,8 +103,13 @@ class FusedEngine {
   std::vector<std::uint64_t> sample(std::size_t shots, Rng& rng) const;
 
  private:
-  void run_program(const FusedProgram& p);
   const std::vector<double>& cdf() const;
+
+  /// Calls f(re, im) with the data pointers of the populated pair (double
+  /// or float, const when `self` is); the one place, after construction,
+  /// that branches on the storage precision.
+  template <class Self, class F>
+  static decltype(auto) with_amps(Self& self, F&& f);
 
   int num_qubits_;
   Precision precision_;

@@ -1,6 +1,6 @@
 // Fused engine goldens: f64 bit-identity against the scalar
-// Statevector, f32 tolerance bounds, fusion accounting, the default
-// cache-block rule, and no cache file written under the user's home.
+// Statevector, f32 tolerance bounds, fusion accounting and spans, the
+// default cache-block rule, and no cache file written under the user's home.
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
@@ -12,6 +12,7 @@
 #include "common/rng.h"
 #include "core/pipeline.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "quantum/ansatz.h"
 #include "quantum/fusion.h"
 #include "quantum/kernels.h"
@@ -152,18 +153,19 @@ std::array<std::array<cplx, 4>, 4> random_4x4(Rng& rng) {
 }
 
 TEST(FusedKernels, LowQubitOpsMatchScalarAtEveryPairAndRange) {
-  // Every op whose low qubit is below the lane count (8 f32, 4 f64): each
-  // 1q op, and each (q0, q1) in both orders, with the other qubit below or
-  // above the width.  Block sizes above the op's top qubit run it on block
-  // ranges, the rest on full-array chunks (down to chunks shorter than one
-  // vector, which stay scalar).  Random non-unitary matrices, from a random
-  // state, so every matrix entry reaches the result.
+  // Every op of a 9-qubit register: each 1q op, and each (q0, q1) in both
+  // orders.  Ops whose low qubit is below the lane count (8 f32, 4 f64)
+  // take the permute kernel, with the other qubit below or above the
+  // width; the rest take the wide kernel.  Block sizes above the op's top
+  // qubit run it on block ranges, the rest on full-array chunks (down to
+  // chunks shorter than one vector, which stay scalar), so each kernel
+  // instance meets the scalar one at every block size.  Random non-unitary
+  // matrices, from a random state, so every matrix entry reaches the result.
   const int nq = 9;
   for (const Precision prec : {Precision::f32, Precision::f64}) {
-    const int lane_qubits = prec == Precision::f32 ? 3 : 2;
     Rng rng(23);
     std::vector<FusedOp> ops;
-    for (int q = 0; q < lane_qubits; ++q) {
+    for (int q = 0; q < nq; ++q) {
       FusedOp op;
       op.q0 = q;
       op.m2 = random_2x2(rng);
@@ -171,7 +173,7 @@ TEST(FusedKernels, LowQubitOpsMatchScalarAtEveryPairAndRange) {
     }
     for (int q0 = 0; q0 < nq; ++q0)
       for (int q1 = 0; q1 < nq; ++q1) {
-        if (q0 == q1 || std::min(q0, q1) >= lane_qubits) continue;
+        if (q0 == q1) continue;
         FusedOp op;
         op.two_qubit = true;
         op.q0 = q0;
@@ -442,6 +444,44 @@ TEST(FusedEngineCounters, FusionAccountingIsRecorded) {
   const auto ops = obs::counter("kernel.fused.ops").value() - ops_before;
   EXPECT_EQ(gates, native.gates().size());
   EXPECT_LT(ops, gates);  // the ratio the obs layer reports is > 1
+}
+
+/// Names of the events a trace session recorded, in (tid, ts, depth) order.
+std::vector<std::string> span_names(const obs::TraceSession& session) {
+  std::vector<std::string> names;
+  for (const obs::TraceEvent& e : session.events()) {
+    EXPECT_EQ(e.depth, 0) << e.name;  // siblings: fusion is not apply time
+    names.push_back(e.name);
+  }
+  return names;
+}
+
+TEST(FusedEngineSpans, CircuitApplyRecordsOneFuseSpanAndPreFusedApplyNone) {
+  const int nq = 9;
+  const Circuit native = transpiled_ansatz(nq, 59);
+  for (const Precision p : {Precision::f32, Precision::f64}) {
+    SCOPED_TRACE(precision_name(p));
+    std::string apply_span = "kernel.apply.";
+    apply_span += precision_name(p);
+    FusedEngine eng(nq, p);
+    {
+      obs::TraceSession session;
+      session.start();
+      eng.apply(native);
+      session.stop();
+      EXPECT_EQ(span_names(session), (std::vector<std::string>{"kernel.fuse", apply_span}));
+    }
+    FusionOptions fo;
+    fo.fuse_matrices = p == Precision::f32;
+    const FusedProgram program = fuse_circuit(native, fo);
+    {
+      obs::TraceSession session;
+      session.start();
+      eng.apply(program);
+      session.stop();
+      EXPECT_EQ(span_names(session), std::vector<std::string>{apply_span});
+    }
+  }
 }
 
 }  // namespace
