@@ -7,7 +7,7 @@
 #include "optimize/random_search.h"
 #include "optimize/spsa.h"
 #include "quantum/ansatz.h"
-#include "quantum/statevector.h"
+#include "quantum/kernels.h"
 #include "vqe/vqe.h"
 
 int main() {
@@ -26,7 +26,7 @@ int main() {
   auto make_objective = [&](Rng& rng) {
     return [&](const std::vector<double>& params) {
       const Circuit noisy = noise_trajectory(ansatz.build(params), noise, rng);
-      Statevector sv(h.num_qubits());
+      FusedEngine sv(h.num_qubits(), Precision::f64);
       sv.apply(noisy);
       auto shots = sv.sample(256, rng);
       apply_readout_error(shots, h.num_qubits(), noise, rng);

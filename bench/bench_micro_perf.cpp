@@ -21,7 +21,7 @@
 #include "quantum/histogram.h"
 #include "quantum/kernels.h"
 #include "quantum/mps.h"
-#include "quantum/statevector.h"
+#include "support/statevector.h"
 #include "transpile/basis.h"
 
 namespace {
@@ -72,7 +72,8 @@ double eval_histogram(const FoldingHamiltonian& h,
 
 /// The VQE shot-scoring workload: a transpiled (native-basis, simplified)
 /// EfficientSU2(nq, 2) at a fixed random point — the circuit shape both the
-/// fused engine and the legacy Statevector execute per trajectory.
+/// fused engine and the serial test oracle Statevector execute per
+/// trajectory.
 Circuit transpiled_ansatz(int nq) {
   const EfficientSU2 ansatz(nq, 2);
   Rng rng(fnv1a("kernel-bench"));
@@ -340,10 +341,10 @@ MetricList stage2_speedup_summary() {
 }
 
 /// Fused-kernel A/B (ISSUE 6 acceptance workload): the 16-qubit transpiled
-/// ansatz applied through (a) the unfused scalar Statevector — the engine on
-/// main before this change — (b) the fused f64 engine (bit-identical path)
-/// and (c) the fused f32 engine (stage-1 path), plus a matrix-fusion depth
-/// sweep.  Keys are appended to BENCH_micro_perf.json *after* the existing
+/// ansatz applied through (a) the unfused scalar Statevector, the serial
+/// test oracle (tests/support/statevector.h, one thread), (b) the fused
+/// f64 engine (bit-identical path) and (c) the fused f32 engine (stage-1
+/// path), plus a matrix-fusion depth sweep.  Keys are appended to BENCH_micro_perf.json *after* the existing
 /// stage-2 keys so diff tooling sees append-only growth.
 MetricList fused_kernel_summary() {
   const int nq = 16;

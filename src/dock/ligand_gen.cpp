@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 #include "common/rng.h"
 #include "common/strings.h"
 #include "dock/dock.h"
-#include "obs/log.h"
 
 namespace qdb {
 
@@ -246,24 +244,6 @@ ImprintResult imprint_ligand_with_site(const Ligand& generic, const Structure& r
     atoms[i].local_pos = r_inv * (world[i] - pose.translation);
   }
   Ligand imprinted(std::move(atoms), generic.torsions(), generic.name() + "-imprinted");
-
-  if (std::getenv("QDB_DEBUG_IMPRINT") != nullptr) {
-    // Diagnostic: the score at the exact imprint pose.  The constructor
-    // re-centres local coordinates, so solve for the translation that maps
-    // atom 0 back onto world[0] under the imprint orientation.
-    Pose at_imprint = imprinted.neutral_pose();
-    const Mat3 r_mat = pose.orientation.to_matrix();
-    at_imprint.orientation = pose.orientation;
-    at_imprint.translation = world[0] - r_mat * imprinted.atoms()[0].local_pos;
-    const NeighbourIndex dbg_grid(type_receptor(reference), 8.0);
-    const double e = affinity_from_energy(
-        intermolecular_energy(dbg_grid, imprinted, imprinted.conformation(at_imprint)),
-        imprinted.num_torsions());
-    obs::log_debug("dock.imprint")
-        .kv("ligand", imprinted.name())
-        .kv("score", e)
-        .kv("hbond_pairs", hbond_pairs.size());
-  }
 
   Vec3 site;
   for (const Vec3& p : world) site += p;

@@ -8,7 +8,8 @@
 //    The engine still batches consecutive block-local ops per cache block
 //    (traversal fusion), which reorders only *which amplitudes are resident
 //    in L1 when*, never the arithmetic on any amplitude — so the float64
-//    path stays bit-identical to Statevector's one-gate-at-a-time loop.
+//    path stays bit-identical to the one-gate-at-a-time loop of the test
+//    oracle Statevector (tests/support/statevector.h).
 //
 //  * fused (fuse_matrices = true): each wire run (transpile/layers.h) is
 //    premultiplied into one 2x2, and a two-qubit gate plus its absorbed
@@ -35,7 +36,7 @@ namespace qdb {
 class Circuit;
 
 /// One fused application: a 2x2 on wire q0, or a 4x4 on (q0, q1) in the
-/// |q1 q0> basis ordering used by Statevector::apply_2q.
+/// |q1 q0> basis ordering of gate_matrix_2q.
 struct FusedOp {
   bool two_qubit = false;
   int q0 = 0;

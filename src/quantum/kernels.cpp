@@ -8,7 +8,6 @@
 #include "common/parallel.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "quantum/sampling.h"
 
 // AVX2 kernels are compiled behind a target attribute and selected at
 // runtime, so the translation unit builds (and the scalar path runs) on any
@@ -38,9 +37,10 @@ namespace {
 
 // One lowered op on kIn amplitudes: kIn = 2 for a 1q op on qs[0], 4 for a
 // 2q op on (qs[0], qs[1]) = (q0, q1).  Input or output c is the amplitude
-// with bit j of c on qubit qs[j]: the |q1 q0> basis Statevector::apply_2q
-// uses.  m is the kIn x kIn matrix flattened to the working precision as
-// row-major (real, imag) pairs: entry (r, c) is m[2 * kIn * r + 2 * c].
+// with bit j of c on qubit qs[j]: the |q1 q0> basis of gate_matrix_2q and
+// of the test oracle's Statevector (tests/support/statevector.h).  m is
+// the kIn x kIn matrix flattened to the working precision as row-major
+// (real, imag) pairs: entry (r, c) is m[2 * kIn * r + 2 * c].
 template <class Real>
 struct OpK {
   bool two_qubit = false;
@@ -96,15 +96,16 @@ struct OpShape {
 };
 
 // ---------------------------------------------------------------------------
-// Scalar kernel.  The expression tree is the SoA transliteration of
-// Statevector's std::complex arithmetic: per output row r, v = t_0, then
-// v = v + t_c for c = 1..kIn-1, left to right, where t_c is the complex
-// product m(r, c) a_c written as (mr ar - mi ai, mr ai + mi ar) with each
-// product rounded on its own.  The AVX2 kernels evaluate the same tree per
-// lane with no FMA, which is what makes f64 results bit-identical across
-// scalar, SIMD, and any cache-block size.  `#pragma GCC unroll` fully
-// unrolls the loops over inputs and rows here and in the AVX2 kernels: at
-// -O2 (the default RelWithDebInfo build) GCC 12 leaves them rolled.
+// Scalar kernel.  The expression tree is the SoA transliteration of the
+// test oracle Statevector's std::complex arithmetic: per output row r,
+// v = t_0, then v = v + t_c for c = 1..kIn-1, left to right, where t_c is
+// the complex product m(r, c) a_c written as (mr ar - mi ai, mr ai + mi ar)
+// with each product rounded on its own.  The AVX2 kernels evaluate the
+// same tree per lane with no FMA, which is what makes f64 results
+// bit-identical across scalar, SIMD, and any cache-block size.
+// `#pragma GCC unroll` fully unrolls the loops over inputs and rows here and
+// in the AVX2 kernels: at -O2 (the default RelWithDebInfo build) GCC 12
+// leaves them rolled.
 // ---------------------------------------------------------------------------
 
 template <class Real, int kIn>
@@ -437,6 +438,46 @@ void run_lowered(Real* re, Real* im, int num_qubits, int block, bool avx2,
   }
 }
 
+// Draws `shots` outcomes from the inclusive prefix sums `cdf` of the
+// probabilities, whose final value is `total` (1.0 for an all-zero state).
+// One uniform per shot, sorted, walked once along the CDF, then a
+// Fisher-Yates unshuffle: the test oracle's Statevector::sample consumes the
+// Rng the same way, so f64 draws match it draw for draw.  `draw_scratch` is
+// reused so per-trajectory sampling does not re-allocate.
+std::vector<std::uint64_t> sample_sorted_cdf(const std::vector<double>& cdf,
+                                             double total, std::size_t shots,
+                                             Rng& rng,
+                                             std::vector<double>& draw_scratch) {
+  std::vector<double>& draws = draw_scratch;
+  draws.resize(shots);
+  for (double& d : draws) d = rng.uniform() * total;
+  std::sort(draws.begin(), draws.end());
+
+  std::vector<std::uint64_t> out(shots);
+  // With shots << dim the linear walk touches every CDF entry between
+  // consecutive draws; a binary search over the remaining tail is far
+  // cheaper.  Both locate the first index with cdf[idx] >= draw (the draws
+  // are sorted, so the search start is monotone) and so give the same
+  // outcomes.
+  const bool sparse = shots < cdf.size() / 64;
+  std::size_t idx = 0;
+  for (std::size_t s = 0; s < shots; ++s) {
+    if (sparse) {
+      const auto it = std::lower_bound(cdf.begin() + static_cast<std::ptrdiff_t>(idx),
+                                       cdf.end(), draws[s]);
+      idx = std::min(static_cast<std::size_t>(it - cdf.begin()), cdf.size() - 1);
+    } else {
+      while (idx + 1 < cdf.size() && cdf[idx] < draws[s]) ++idx;
+    }
+    out[s] = idx;
+  }
+  // Sorted outcomes would bias consumers that stream shots; shuffle back.
+  for (std::size_t i = out.size(); i > 1; --i) {
+    std::swap(out[i - 1], out[rng.below(i)]);
+  }
+  return out;
+}
+
 }  // namespace
 
 int default_block_qubits(int num_qubits) {
@@ -484,8 +525,6 @@ void FusedEngine::reset() {
 
 void FusedEngine::apply(const Circuit& c) {
   QDB_REQUIRE(c.num_qubits() <= num_qubits_, "circuit wider than engine");
-  // Same site name as Statevector::apply — the fused engine *is* the dense
-  // apply path now, and the fault sweep's coverage carries over unchanged.
   fault_site("engine.dense.apply");
   FusionOptions fo;
   fo.fuse_matrices = (precision_ == Precision::f32);
@@ -522,8 +561,8 @@ void FusedEngine::apply(const FusedProgram& p) {
 }
 
 // The readers below widen each amplitude through `const double r = re[i]`,
-// which is the identity for f64: both precisions evaluate Statevector's
-// tree (re^2 + im^2, and for the CDF acc += that) in double.
+// which is the identity for f64: both precisions evaluate the test oracle
+// Statevector's tree (re^2 + im^2, and for the CDF acc += that) in double.
 
 std::vector<cplx> FusedEngine::amplitudes() const {
   std::vector<cplx> out(dimension());
@@ -544,19 +583,6 @@ double FusedEngine::probability(std::uint64_t index) const {
   });
 }
 
-double FusedEngine::expectation_diagonal(
-    const std::function<double(std::uint64_t)>& f) const {
-  const auto n = static_cast<std::int64_t>(dimension());
-  return with_amps(*this, [&](const auto* re, const auto* im) {
-    return parallel_reduce(n, [&](std::int64_t i) {
-      const double r = re[i];
-      const double m = im[i];
-      const double p = r * r + m * m;
-      return p > 0.0 ? p * f(static_cast<std::uint64_t>(i)) : 0.0;
-    });
-  });
-}
-
 double FusedEngine::norm2() const {
   const auto n = static_cast<std::int64_t>(dimension());
   return with_amps(*this, [&](const auto* re, const auto* im) {
@@ -571,8 +597,8 @@ double FusedEngine::norm2() const {
 const std::vector<double>& FusedEngine::cdf() const {
   if (!cdf_valid_) {
     cdf_scratch_.resize(dimension());
-    // Exactly Statevector's prefix pass at f64, so f64 sampling is
-    // draw-for-draw identical to the scalar engine.
+    // Exactly the test oracle Statevector's prefix pass at f64, so f64
+    // sampling is draw-for-draw identical to it.
     const double acc = with_amps(*this, [&](const auto* re, const auto* im) {
       double sum = 0.0;
       for (std::size_t i = 0; i < cdf_scratch_.size(); ++i) {
@@ -595,7 +621,7 @@ std::vector<std::uint64_t> FusedEngine::sample(std::size_t shots,
   const bool reused = cdf_valid_;
   const std::vector<double>& c = cdf();
   if (reused) cdf_hits.add(1);
-  return detail::sample_sorted_cdf(c, cdf_total_, shots, rng, draw_scratch_);
+  return sample_sorted_cdf(c, cdf_total_, shots, rng, draw_scratch_);
 }
 
 }  // namespace qdb

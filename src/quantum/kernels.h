@@ -1,7 +1,8 @@
 // Fused, cache-blocked, SIMD statevector engine (ISSUE 6).
 //
-// FusedEngine is the hot-path replacement for Statevector in VQE shot
-// scoring.  Three mechanisms stack:
+// FusedEngine is the library's one dense engine, which VQE shot scoring
+// runs on.  Its reference is the serial test oracle Statevector
+// (tests/support/statevector.h).  Three mechanisms stack:
 //
 //  * traversal fusion — consecutive ops that only touch qubits below the
 //    cache-block size are applied block by block while a 2^B-amplitude
@@ -25,14 +26,13 @@
 //    keeps non-AVX2 hosts on the scalar fallback.
 //
 // Precision doctrine: Precision::f64 runs exact programs (no matrix fusion)
-// and reproduces Statevector amplitudes bit-for-bit — it backs stage-2 and
+// and reproduces the oracle's amplitudes bit-for-bit — it backs stage-2 and
 // every published energy.  Precision::f32 adds matrix fusion and is used
 // only for stage-1 shot scoring, where sampled bitstrings tolerate ~1e-6
 // amplitude error (energies are always scored classically in f64).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/rng.h"
@@ -75,9 +75,9 @@ class FusedEngine {
   void reset();
 
   /// Fuse with the precision's default policy (f64: exact, f32: matrix
-  /// fusion) and execute.  Mirrors Statevector::apply(Circuit) including
-  /// the fault-injection site and the norm audit.  The one place the
-  /// kernel.fused.gates_in / kernel.fused.ops counters are added to.
+  /// fusion) and execute, with the engine.dense.apply fault site and the
+  /// norm audit.  The one place the kernel.fused.gates_in /
+  /// kernel.fused.ops counters are added to.
   void apply(const Circuit& c);
 
   /// Execute an already-fused program (bench and sweep entry point);
@@ -90,16 +90,14 @@ class FusedEngine {
   /// Probability of measuring basis state `index`.
   double probability(std::uint64_t index) const;
 
-  /// <psi| f |psi> for an operator diagonal in the computational basis.
-  double expectation_diagonal(const std::function<double(std::uint64_t)>& f) const;
-
   /// Sum of |amp|^2 (1.0 up to round-off for unitary circuits).
   double norm2() const;
 
   /// Draw `shots` measurement outcomes.  Deterministic given the rng state,
-  /// and for f64 draw-for-draw identical to Statevector::sample on the same
-  /// state.  The CDF prefix pass is cached across calls and invalidated by
-  /// apply/reset, so repeated sampling costs O(shots log shots), not O(dim).
+  /// and for f64 draw-for-draw identical to the test oracle's
+  /// Statevector::sample on the same state.  The CDF prefix pass is cached
+  /// across calls and invalidated by apply/reset, so repeated sampling
+  /// costs O(shots log shots), not O(dim).
   std::vector<std::uint64_t> sample(std::size_t shots, Rng& rng) const;
 
  private:

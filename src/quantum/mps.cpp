@@ -457,13 +457,6 @@ double MpsSimulator::norm2() const {
   return env[0][0].real();
 }
 
-void MpsSimulator::normalize() {
-  const double n2 = norm2();
-  if (n2 <= 0.0) return;
-  const double scale = 1.0 / std::sqrt(n2);
-  for (cplx& v : sites_[0].data) v *= scale;
-}
-
 std::vector<std::uint64_t> MpsSimulator::sample(std::size_t shots, Rng& rng) const {
   QDB_SPAN("mps.sample");
   static obs::Counter& step_count = obs::counter("mps.sample.steps");
@@ -546,15 +539,6 @@ std::vector<std::uint64_t> MpsSimulator::sample(std::size_t shots, Rng& rng) con
   step_count.add(static_cast<std::uint64_t>(shots) * static_cast<std::uint64_t>(num_qubits_));
   expansion_count.add(nodes.size());
   return out;
-}
-
-double MpsSimulator::expectation_diagonal_sampled(
-    const std::function<double(std::uint64_t)>& f, std::size_t shots, Rng& rng) const {
-  QDB_REQUIRE(shots > 0, "expectation needs at least one shot");
-  const auto xs = sample(shots, rng);
-  double acc = 0.0;
-  for (std::uint64_t x : xs) acc += f(x);
-  return acc / static_cast<double>(shots);
 }
 
 }  // namespace qdb

@@ -30,7 +30,6 @@
 
 #include <complex>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/rng.h"
@@ -61,10 +60,6 @@ class MpsSimulator {
   /// the true global norm.)
   double truncation_weight() const { return truncated_weight_; }
 
-  /// Rescale the state to unit norm (useful after aggressive truncation,
-  /// where local renormalisation cannot preserve the global norm exactly).
-  void normalize();
-
   /// Amplitude <x|psi> of one basis state (qubit 0 = low bit of x).
   cplx amplitude(std::uint64_t x) const;
 
@@ -74,11 +69,6 @@ class MpsSimulator {
   /// Draw `shots` measurement outcomes by sequential conditional sampling
   /// (prefix-memoised; see the class comment).
   std::vector<std::uint64_t> sample(std::size_t shots, Rng& rng) const;
-
-  /// Monte-Carlo estimate of <psi| f |psi> for a diagonal operator using
-  /// `shots` samples (how hardware estimates the folding Hamiltonian).
-  double expectation_diagonal_sampled(const std::function<double(std::uint64_t)>& f,
-                                      std::size_t shots, Rng& rng) const;
 
  private:
   /// Read access to the site tensors for the per-shot sampling oracle and

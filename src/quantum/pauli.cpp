@@ -39,11 +39,6 @@ double DiagonalPauliOp::value(std::uint64_t x) const {
   return acc;
 }
 
-double DiagonalPauliOp::expectation(const Statevector& sv) const {
-  QDB_REQUIRE(sv.num_qubits() == num_qubits_, "pauli/statevector width mismatch");
-  return sv.expectation_diagonal([this](std::uint64_t x) { return value(x); });
-}
-
 DiagonalPauliOp DiagonalPauliOp::from_function(
     int num_qubits, const std::function<double(std::uint64_t)>& f, double tol) {
   QDB_REQUIRE(num_qubits >= 1 && num_qubits <= 20, "expansion supports 1..20 qubits");

@@ -6,18 +6,19 @@
 //     H = sum_m  c_m  *  prod_{q in mask_m} Z_q
 //
 // This module gives that representation explicitly: exact expansion of any
-// diagonal function via the Walsh-Hadamard transform, evaluation, and
-// expectation values.  It also makes the paper's large positive energies
-// transparent: the identity (mask = 0) coefficient of a penalty-encoded
-// Hamiltonian is its mean over all bitstrings — the constant floor that
-// dominates Tables 1-3 (see lattice/hamiltonian.h).
+// diagonal function via the Walsh-Hadamard transform, and evaluation.  An
+// expectation <psi|H|psi> is a diagonal sum over a state; the tests take it
+// with value() on the test oracle Statevector (tests/support/statevector.h),
+// and the VQE scores sampled bitstrings classically.  It also makes the
+// paper's large positive energies transparent: the identity (mask = 0)
+// coefficient of a penalty-encoded Hamiltonian is its mean over all
+// bitstrings — the constant floor that dominates Tables 1-3 (see
+// lattice/hamiltonian.h).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <vector>
-
-#include "quantum/statevector.h"
 
 namespace qdb {
 
@@ -43,9 +44,6 @@ class DiagonalPauliOp {
 
   /// Diagonal entry for bitstring x:  sum c_m * (-1)^popcount(x & mask_m).
   double value(std::uint64_t x) const;
-
-  /// <psi|H|psi> over a statevector of matching width.
-  double expectation(const Statevector& sv) const;
 
   /// Exact Pauli expansion of an arbitrary diagonal function on n qubits via
   /// the Walsh-Hadamard transform (cost O(n 2^n); n <= 20).  Coefficients

@@ -1,11 +1,14 @@
-// Dense statevector simulator.
+// Dense statevector simulator: the test oracle.
 //
-// Exact simulation for circuits up to ~24 qubits (the compact turn encoding
-// of every QDockBank fragment fits: at most 22 qubits for 14 residues).
-// Amplitude loops run on common/parallel.h's thread pool.  Qubit 0 is the least-significant bit
-// of the state index.
+// The plainest exact simulator of a circuit: one gate at a time over
+// std::complex<double> amplitudes, serial loops, no fusion, no blocking,
+// no SIMD and no caching.  The production engines (quantum/kernels.h's
+// FusedEngine, quantum/mps.h's MpsSimulator) are checked against it; no
+// library target links it.  Qubit 0 is the least-significant bit of the
+// state index.
 #pragma once
 
+#include <array>
 #include <complex>
 #include <cstdint>
 #include <functional>
@@ -41,10 +44,10 @@ class Statevector {
   /// Sum of |amp|^2 (1.0 up to round-off for unitary circuits).
   double norm2() const;
 
-  /// Draw `shots` measurement outcomes.  Deterministic given the rng state.
-  /// The CDF prefix pass is cached across calls and invalidated by
-  /// apply/reset, so repeated sampling of an unchanged state costs
-  /// O(shots log shots), not O(dim) per call (ISSUE 6).
+  /// Draw `shots` measurement outcomes.  Deterministic given the rng state:
+  /// full CDF, one uniform per shot, sorted draws walked linearly, then a
+  /// Fisher-Yates unshuffle — the Rng consumption FusedEngine::sample must
+  /// reproduce draw for draw.
   std::vector<std::uint64_t> sample(std::size_t shots, Rng& rng) const;
 
   /// Fidelity |<a|b>|^2 between two states of equal dimension.
@@ -56,15 +59,6 @@ class Statevector {
 
   int num_qubits_;
   std::vector<cplx> amps_;
-  // Reusable sampling buffers (see sample()).  Logically const scratch: the
-  // simulator state is unchanged by sampling.  sample() already mutates the
-  // caller's Rng, so it was never safe to call concurrently on one instance.
-  // cdf_scratch_ doubles as a cache of the prefix sums, valid until the
-  // next apply/reset.
-  mutable std::vector<double> cdf_scratch_;
-  mutable std::vector<double> draw_scratch_;
-  mutable double cdf_total_ = 1.0;
-  mutable bool cdf_valid_ = false;
 };
 
 }  // namespace qdb

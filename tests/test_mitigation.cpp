@@ -7,7 +7,7 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "quantum/mitigation.h"
-#include "quantum/statevector.h"
+#include "support/statevector.h"
 
 namespace qdb {
 namespace {

@@ -9,7 +9,6 @@
 #include "common/rng.h"
 #include "lattice/hamiltonian.h"
 #include "quantum/pauli.h"
-#include "quantum/statevector.h"
 
 namespace qdb {
 namespace {
@@ -87,24 +86,6 @@ TEST(Pauli, HamiltonianExpansionMatchesDirectEvaluation) {
   for (std::uint64_t x = 0; x < 16; ++x) {
     EXPECT_NEAR(op.value(x), h.energy(x), 1e-9);
   }
-}
-
-TEST(Pauli, ExpectationMatchesStatevector) {
-  DiagonalPauliOp op(3);
-  op.add(0b001, 1.0);
-  op.add(0b110, -2.0);
-  op.add(0, 0.5);
-
-  Statevector sv(3);
-  Circuit c(3);
-  c.h(0).ry(0.7, 1).cx(1, 2);
-  sv.apply(c);
-
-  const double direct = sv.expectation_diagonal([&](std::uint64_t x) { return op.value(x); });
-  EXPECT_NEAR(op.expectation(sv), direct, 1e-12);
-
-  Statevector wrong(2);
-  EXPECT_THROW(op.expectation(wrong), PreconditionError);
 }
 
 TEST(Pauli, ExpansionToleranceDropsSmallTerms) {

@@ -1,10 +1,10 @@
 // Golden-equivalence and determinism tests for the performance pipeline:
 // the allocation-free Hamiltonian scratch kernel, the batched energies()
 // entry point, the histogram-based evaluation path, the bounded energy
-// cache, the parallel batch executor, and the statevector sampling fast
-// paths.  The contract under test: every fast path produces *bit-identical*
-// numbers to the naive reference it replaced (or, where floating-point
-// reassociation is inherent, agrees to tight tolerance and is deterministic).
+// cache, and the parallel batch executor.  The contract under test: every
+// fast path produces *bit-identical* numbers to the naive reference it
+// replaced (or, where floating-point reassociation is inherent, agrees to
+// tight tolerance and is deterministic).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,9 +21,7 @@
 #include "data/registry.h"
 #include "lattice/hamiltonian.h"
 #include "lattice/lattice.h"
-#include "quantum/ansatz.h"
 #include "quantum/histogram.h"
-#include "quantum/statevector.h"
 #include "vqe/vqe.h"
 
 namespace qdb {
@@ -233,76 +231,6 @@ TEST(BatchExecutor, ThreadCountKnobCoversOddCounts) {
   opt.threads = 7;
   const BatchReport seven = run_batch(subset, opt);
   expect_reports_identical(serial, seven);
-}
-
-/// Reference implementation of the pre-optimization sampling algorithm:
-/// full-CDF build, sorted uniform draws, linear tail walk, Fisher-Yates
-/// unshuffle.  Consumes the Rng exactly like Statevector::sample.
-std::vector<std::uint64_t> reference_sample(const Statevector& sv, std::size_t shots,
-                                            Rng& rng) {
-  const auto& amps = sv.amplitudes();
-  std::vector<double> cdf(amps.size());
-  double acc = 0.0;
-  for (std::size_t i = 0; i < amps.size(); ++i) {
-    acc += std::norm(amps[i]);
-    cdf[i] = acc;
-  }
-  const double total = acc > 0.0 ? acc : 1.0;
-  std::vector<double> draws(shots);
-  for (double& d : draws) d = rng.uniform() * total;
-  std::sort(draws.begin(), draws.end());
-  std::vector<std::uint64_t> out(shots);
-  std::size_t idx = 0;
-  for (std::size_t s = 0; s < shots; ++s) {
-    while (idx + 1 < cdf.size() && cdf[idx] < draws[s]) ++idx;
-    out[s] = idx;
-  }
-  for (std::size_t i = out.size(); i > 1; --i) {
-    std::swap(out[i - 1], out[rng.below(i)]);
-  }
-  return out;
-}
-
-TEST(StatevectorSample, FastPathsMatchReferenceBitExactly) {
-  const int nq = 12;
-  const EfficientSU2 ansatz(nq, 2);
-  Rng prng(5);
-  Statevector sv(nq);
-  sv.apply(ansatz.build(ansatz.initial_point(prng, 0.5)));
-
-  // Sparse regime (shots << dim / 64): binary-search tail.
-  // Dense regime: linear walk.  Both must match the naive reference.
-  for (const std::size_t shots : {std::size_t{16}, std::size_t{5000}}) {
-    Rng rng_fast(99);
-    Rng rng_ref(99);
-    const auto fast = sv.sample(shots, rng_fast);
-    const auto ref = reference_sample(sv, shots, rng_ref);
-    EXPECT_EQ(fast, ref) << shots;
-  }
-  // Buffer reuse across calls must not change outcomes.
-  Rng rng_a(123), rng_b(123);
-  (void)sv.sample(7, rng_a);  // warm the scratch with a different size
-  const auto second = sv.sample(5000, rng_a);
-  (void)reference_sample(sv, 7, rng_b);
-  const auto second_ref = reference_sample(sv, 5000, rng_b);
-  EXPECT_EQ(second, second_ref);
-}
-
-TEST(StatevectorFidelity, ParallelReductionMatchesSerial) {
-  const int nq = 10;
-  const EfficientSU2 ansatz(nq, 2);
-  Rng prng(17);
-  Statevector a(nq), b(nq);
-  a.apply(ansatz.build(ansatz.initial_point(prng, 0.4)));
-  b.apply(ansatz.build(ansatz.initial_point(prng, 0.4)));
-
-  cplx inner{0.0, 0.0};
-  for (std::size_t i = 0; i < a.amplitudes().size(); ++i) {
-    inner += std::conj(a.amplitudes()[i]) * b.amplitudes()[i];
-  }
-  const double serial = std::norm(inner);
-  EXPECT_NEAR(Statevector::fidelity(a, b), serial, 1e-12 * (1.0 + serial));
-  EXPECT_NEAR(Statevector::fidelity(a, a), 1.0, 1e-9);
 }
 
 TEST(ParallelHelpers, ThreadCappedForAndComplexReduce) {

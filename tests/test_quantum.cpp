@@ -20,7 +20,7 @@
 #include "quantum/kernels.h"
 #include "quantum/mps.h"
 #include "quantum/noise.h"
-#include "quantum/statevector.h"
+#include "support/statevector.h"
 
 namespace qdb {
 namespace {
@@ -351,10 +351,8 @@ TEST(Mps, TruncationIsTrackedUnderTightBond) {
   mps.apply(c);
   EXPECT_GT(mps.truncation_weight(), 0.0);
   // Local renormalisation keeps the norm close to 1 but (without canonical
-  // form) not exact; normalize() makes it exact.
+  // form) not exact.
   EXPECT_NEAR(mps.norm2(), 1.0, 0.1);
-  mps.normalize();
-  EXPECT_NEAR(mps.norm2(), 1.0, 1e-10);
 }
 
 TEST(Mps, ExpectationSampledConvergesToDense) {
@@ -367,7 +365,9 @@ TEST(Mps, ExpectationSampledConvergesToDense) {
   MpsSimulator mps(nq);
   mps.apply(c);
   Rng rng(31);
-  const double est = mps.expectation_diagonal_sampled(f, 20000, rng);
+  double sum = 0.0;
+  for (const std::uint64_t x : mps.sample(20000, rng)) sum += f(x);
+  const double est = sum / 20000.0;
   EXPECT_NEAR(est, exact, 0.06);
 }
 

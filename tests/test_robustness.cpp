@@ -31,10 +31,10 @@
 #include "lattice/hamiltonian.h"
 #include "lattice/solver.h"
 #include "quantum/mps.h"
-#include "quantum/statevector.h"
 #include "screen/funnel.h"
 #include "structure/pdb.h"
 #include "structure/reconstruct.h"
+#include "support/statevector.h"
 
 namespace qdb {
 namespace {

@@ -9,7 +9,7 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "quantum/ansatz.h"
-#include "quantum/statevector.h"
+#include "support/statevector.h"
 #include "lattice/allocation.h"
 #include "transpile/basis.h"
 #include "transpile/coupling.h"
